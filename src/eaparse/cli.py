@@ -29,7 +29,7 @@ from .augment import SwapTable, cut_half, hflip_with_swap, rotate_quarter
 from .boundary import DEFAULT_EDGE_RADIUS, edge_attention_mask, extract_boundary
 from .ensemble import ensemble_argmax, ensemble_probabilities
 from .errors import ToolkitError
-from .grabcut import GrabcutParams, grabcut_refine, refine_class
+from .grabcut import GrabcutParams, _refine_class_with_trace, refine_class
 from .metrics import evaluate_frames
 from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
 from .segloss import (
@@ -144,7 +144,11 @@ def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
                     raise ToolkitError(
                         f'{path}:{ln}: expected {{"frame": name, "box": [x0,y0,x1,y1]}}'
                     )
-                boxes[str(entry["frame"])].append(Box(*(int(v) for v in entry["box"])))
+                try:
+                    box = Box(*entry["box"])
+                except ToolkitError as exc:
+                    raise ToolkitError(f"{path}:{ln}: {exc}") from exc
+                boxes[str(entry["frame"])].append(box)
     except OSError as exc:
         raise ToolkitError(f"cannot read {path}: {exc}") from exc
     return dict(boxes)
@@ -245,21 +249,12 @@ def _cmd_grabcut(cfg, args) -> int:
     image = read_rgb_image(args.image)
     labels = read_label_map(args.labels)
     params = _grabcut_params(cfg, args, rng_seed=cfg["rng_seed"])
+    out, trace = _refine_class_with_trace(labels, image, args.class_id, params)
+    write_label_map(out, args.out)
     if args.energy_trace is not None:
-        mask = (labels == args.class_id).astype(np.uint8)
-        if not mask.any():
-            raise ToolkitError(f"class {args.class_id} not present in label map")
-        refined_mask, trace = grabcut_refine(image, mask, params)
-        out = labels.copy()
-        out[(labels == args.class_id) & (refined_mask == 0)] = 0
-        out[refined_mask == 1] = args.class_id
-        write_label_map(out, args.out)
         with open(args.energy_trace, "w", encoding="utf-8") as f:
             json.dump(trace, f)
             f.write("\n")
-    else:
-        out = refine_class(labels, image, args.class_id, params)
-        write_label_map(out, args.out)
     return 0
 
 
@@ -283,10 +278,12 @@ def _list_frames(directory, suffix: str) -> list[str]:
     return names
 
 
-def _cmd_eval(cfg, args) -> int:
-    names = _list_frames(args.pred_dir, ".pgm")
-    preds = [read_label_map(Path(args.pred_dir) / n) for n in names]
-    gts = [read_label_map(Path(args.gt_dir) / n) for n in names]
+def _report_json(cfg, args, preds, gts) -> str:
+    """The J/F report of ``preds`` against ``gts`` as sorted-key JSON text.
+
+    Scored classes: ``--classes``, else the config's ``classes``, else every
+    non-zero ground-truth class. ``--tolerance`` overrides the config's.
+    """
     if args.classes is not None:
         class_ids = _parse_classes(args.classes)
     elif cfg["classes"] is not None:
@@ -295,7 +292,14 @@ def _cmd_eval(cfg, args) -> int:
         class_ids = sorted(set(int(v) for g in gts for v in np.unique(g)) - {0})
     tolerance = cfg["metric_tolerance"] if args.tolerance is None else args.tolerance
     report = evaluate_frames(preds, gts, class_ids, tolerance)
-    payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _cmd_eval(cfg, args) -> int:
+    names = _list_frames(args.pred_dir, ".pgm")
+    preds = [read_label_map(Path(args.pred_dir) / n) for n in names]
+    gts = [read_label_map(Path(args.gt_dir) / n) for n in names]
+    payload = _report_json(cfg, args, preds, gts)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(payload)
     return 0
@@ -403,15 +407,7 @@ def _cmd_pipeline(cfg, args) -> int:
         results = [work(item) for item in enumerate(stems)]
 
     preds = [r[0] for r in results]
-    gts = [r[1] for r in results]
-    if args.classes is not None:
-        class_ids = _parse_classes(args.classes)
-    elif cfg["classes"] is not None:
-        class_ids = [int(c) for c in cfg["classes"]]
-    else:
-        class_ids = sorted(set(int(v) for g in gts for v in np.unique(g)) - {0})
-    tolerance = cfg["metric_tolerance"] if args.tolerance is None else args.tolerance
-    report = evaluate_frames(preds, gts, class_ids, tolerance)
+    payload = _report_json(cfg, args, preds, [r[1] for r in results])
 
     # all computation succeeded; only now touch the disk
     out_dir = Path(args.out_dir)
@@ -419,7 +415,7 @@ def _cmd_pipeline(cfg, args) -> int:
     for stem, pred in zip(stems, preds):
         write_label_map(pred, out_dir / f"{stem}.pgm")
     with open(out_dir / "report.json", "w", encoding="utf-8") as f:
-        f.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        f.write(payload)
     return 0
 
 

@@ -144,21 +144,17 @@ class ColorGmm:
             out[:, i] = -0.5 * (quad + logdet + 3.0 * math.log(2.0 * math.pi))
         return out
 
+    def _scores(self, pixels) -> np.ndarray:
+        """(N, K) log weight plus log density of each pixel under each component."""
+        with np.errstate(divide="ignore"):
+            logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
+        return self._component_logpdf(pixels) + logw
+
     def log_likelihood(self, pixels) -> np.ndarray:
         """(N,) log of the weighted mixture density at each pixel."""
-        comp = self._component_logpdf(pixels)
-        with np.errstate(divide="ignore"):
-            logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
-        scored = comp + logw
+        scored = self._scores(pixels)
         top = scored.max(axis=1, keepdims=True)
         return (top + np.log(np.exp(scored - top).sum(axis=1, keepdims=True)))[:, 0]
-
-    def assign_components(self, pixels) -> np.ndarray:
-        """(N,) index of the highest-scoring component per pixel."""
-        comp = self._component_logpdf(pixels)
-        with np.errstate(divide="ignore"):
-            logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
-        return np.argmax(comp + logw, axis=1)
 
 
 def _estimate(px: np.ndarray, assign: np.ndarray, k: int, prev_means: np.ndarray) -> ColorGmm:
@@ -178,21 +174,15 @@ def _estimate(px: np.ndarray, assign: np.ndarray, k: int, prev_means: np.ndarray
     return ColorGmm(weights=weights, means=means, covariances=covs)
 
 
-def _classification_loglik(gmm: ColorGmm, px: np.ndarray, assign: np.ndarray) -> float:
-    comp = gmm._component_logpdf(px)
-    with np.errstate(divide="ignore"):
-        logw = np.where(gmm.weights > 0, np.log(gmm.weights), -np.inf)
-    return float((comp + logw)[np.arange(px.shape[0]), assign].sum())
-
-
 def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
     """Fit a K-component mixture by seeded k-means++ plus hard refit rounds.
 
     Each round assigns every pixel to its highest-scoring component and then
     re-estimates weights, means and ridge-regularized covariances from the
-    members; rounds stop when assignments stabilize. Fully deterministic for
-    a fixed seed. With ``with_trace`` the total classification log-likelihood
-    after the initial estimate and after each round is returned as well.
+    members, for ``_GMM_ROUNDS`` rounds or until the assignment repeats (its
+    refit would rebuild the same model bit for bit). Fully deterministic for a
+    fixed seed. ``with_trace`` also returns the classification log-likelihood
+    after the initial estimate and every round, the stopping one included.
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
     n = px.shape[0]
@@ -212,16 +202,18 @@ def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
 
     assign = ((px[:, None, :] - centers[None]) ** 2).sum(axis=2).argmin(axis=1)
     gmm = _estimate(px, assign, k, prev_means=centers)
-    trace = [_classification_loglik(gmm, px, assign)]
+    scores = gmm._scores(px)
+    trace = [float(scores[np.arange(n), assign].sum())]
 
     for _ in range(_GMM_ROUNDS):
-        new_assign = gmm.assign_components(px)
-        gmm = _estimate(px, new_assign, k, prev_means=gmm.means)
-        trace.append(_classification_loglik(gmm, px, new_assign))
-        stable = bool((new_assign == assign).all())
-        assign = new_assign
-        if stable:
+        new_assign = scores.argmax(axis=1)
+        if (new_assign == assign).all():
+            trace.append(trace[-1])
             break
+        assign = new_assign
+        gmm = _estimate(px, assign, k, prev_means=gmm.means)
+        scores = gmm._scores(px)
+        trace.append(float(scores[np.arange(n), assign].sum()))
     return (gmm, trace) if with_trace else gmm
 
 
@@ -419,12 +411,12 @@ def _labeling_energy(
 def grabcut_refine(image, init, params: GrabcutParams | None = None):
     """Refine a binary mask against its image; returns (mask, energy_trace).
 
-    Alternates seeded GMM refits with min-cuts for ``params.iterations``
-    rounds, recording the labeling energy after each cut. Definite trimap
-    pixels never change side, so the result always contains the eroded core
-    and never touches pixels far outside the dilated envelope. The same two
-    fitting seeds are reused every round, which makes the whole refinement a
-    deterministic function of (image, init, params).
+    Alternates seeded GMM refits with min-cuts, recording the labeling energy
+    after each cut. Definite trimap pixels never change side, so the result
+    always contains the eroded core and never touches pixels far outside the
+    dilated envelope. A round is a deterministic function of its input
+    partition, so rounds stop after ``params.iterations`` or once a cut returns
+    its input; the trace still holds one energy per iteration, the last repeated.
     """
     if params is None:
         params = GrabcutParams()
@@ -482,6 +474,7 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
         if bg_px.shape[0]:
             bg_gmm = fit_gmm(bg_px, min(params.components_k, bg_px.shape[0]), bg_seed)
 
+        cut = def_fg.copy()
         if n_nodes:
             # source side = foreground: the link a cut severs is the one to
             # the terminal the pixel does NOT join, hence the opposite model
@@ -493,13 +486,26 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
             _, side = max_flow(
                 GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap)
             )
-            alpha = def_fg.copy()
-            alpha[probable] = side.astype(bool)
-        else:
-            alpha = def_fg.copy()
-        trace.append(_labeling_energy(alpha, z, fg_gmm, bg_gmm, weights))
+            cut[probable] = side.astype(bool)
+        trace.append(_labeling_energy(cut, z, fg_gmm, bg_gmm, weights))
+        if (cut == alpha).all():
+            break  # fixed point: every later round would get this input and repeat this one
+        alpha = cut
 
+    trace += trace[-1:] * (params.iterations - len(trace))
     return alpha.astype(np.uint8), trace
+
+
+def _refine_class_with_trace(labels, image, class_id: int, params: GrabcutParams | None):
+    """``refine_class`` plus the energy trace of its ``grabcut_refine`` call."""
+    lm = ensure_label_map(labels)
+    if not (lm == class_id).any():
+        raise ClassAbsent(f"class {class_id} not present in label map")
+    refined, trace = grabcut_refine(image, (lm == class_id).astype(np.uint8), params)
+    out = lm.copy()
+    out[(lm == class_id) & (refined == 0)] = 0
+    out[refined == 1] = class_id
+    return out, trace
 
 
 def refine_class(labels, image, class_id: int, params: GrabcutParams | None = None) -> np.ndarray:
@@ -509,11 +515,4 @@ def refine_class(labels, image, class_id: int, params: GrabcutParams | None = No
     back to background (0). Other classes keep their labels unless the
     refined mask claims their pixels.
     """
-    lm = ensure_label_map(labels)
-    if not (lm == class_id).any():
-        raise ClassAbsent(f"class {class_id} not present in label map")
-    refined, _ = grabcut_refine(image, (lm == class_id).astype(np.uint8), params)
-    out = lm.copy()
-    out[(lm == class_id) & (refined == 0)] = 0
-    out[refined == 1] = class_id
-    return out
+    return _refine_class_with_trace(labels, image, class_id, params)[0]

@@ -31,7 +31,7 @@ class Box:
 
     def __post_init__(self):
         for v in (self.x0, self.y0, self.x1, self.y1):
-            if not isinstance(v, (int, np.integer)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise InvalidBox(f"box coordinates must be integers, got {v!r}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise InvalidBox(

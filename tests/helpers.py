@@ -143,6 +143,51 @@ def random_grid_graph(rng: np.random.Generator, max_nodes: int = 12) -> ea.GridG
     )
 
 
+# --- mixture-fit oracle ---
+
+
+def oracle_fit_gmm(pixels, k: int, rng_seed):
+    """The hard-assignment refit loop written out, with no shortcut.
+
+    Seeds k-means++ like ``fit_gmm``, then every round scores the model to
+    assign, refits, and scores the new model again for the trace; a stable
+    assignment is refit too before the loop stops. Returns
+    (gmm, trace, stable), where ``stable`` is False when the round cap, not
+    a repeated assignment, ended the loop.
+    """
+    from eaparse.grabcut import _GMM_ROUNDS, _estimate
+
+    def scored(gmm, px):
+        with np.errstate(divide="ignore"):
+            logw = np.where(gmm.weights > 0, np.log(gmm.weights), -np.inf)
+        return gmm._component_logpdf(px) + logw
+
+    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
+    n = px.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    centers = px[int(rng.integers(n))][None]
+    for _ in range(1, k):
+        d2 = ((px[:, None, :] - centers[None]) ** 2).sum(axis=2).min(axis=1)
+        if d2.sum() > 0:
+            idx = int(rng.choice(n, p=d2 / d2.sum()))
+        else:
+            idx = int(rng.integers(n))
+        centers = np.vstack([centers, px[idx]])
+    assign = ((px[:, None, :] - centers[None]) ** 2).sum(axis=2).argmin(axis=1)
+    gmm = _estimate(px, assign, k, prev_means=centers)
+    trace = [float(scored(gmm, px)[np.arange(n), assign].sum())]
+    stable = False
+    for _ in range(_GMM_ROUNDS):
+        new_assign = np.argmax(scored(gmm, px), axis=1)
+        gmm = _estimate(px, new_assign, k, prev_means=gmm.means)
+        trace.append(float(scored(gmm, px)[np.arange(n), new_assign].sum()))
+        stable = bool((new_assign == assign).all())
+        assign = new_assign
+        if stable:
+            break
+    return gmm, trace, stable
+
+
 # --- finite differences ---
 
 
@@ -205,6 +250,20 @@ def disk_scene(size: int = 32, noise_seed=None):
     init = disk.copy()
     init[13:19, 13:19] = 0  # 6x6 hole for the refinement to recover
     return image, disk, init
+
+
+def ramp_scene(seed: int, size: int = 24):
+    """Noisy left-to-right color ramp; returns (image, left_half_init).
+
+    The ramp has no color edge for a cut to settle on, so refinements with
+    a small ``gamma`` keep moving the boundary round after round.
+    """
+    rng = np.random.default_rng(seed)
+    xx = np.mgrid[0:size, 0:size][1]
+    base = xx * 255 / (size - 1)
+    image = np.stack([base, 255 - base, np.full_like(base, 128)], axis=2)
+    image = np.clip(image + rng.normal(0, 30, image.shape), 0, 255).astype(np.uint8)
+    return image, (xx < size // 2).astype(np.uint8)
 
 
 def _mask_logits(mask: np.ndarray, magnitude: float) -> np.ndarray:

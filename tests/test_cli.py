@@ -330,7 +330,7 @@ def test_grabcut_subcommand_seed_flag(capsys, tmp_path):
     assert (ea.read_label_map(out) == want).all()
 
 
-def test_grabcut_missing_class_is_exit_2(capsys, tmp_path):
+def _grabcut_absent_class(capsys, tmp_path, *extra):
     image, _, init = helpers.disk_scene()
     ea.write_rgb_image(image, tmp_path / "i.ppm")
     ea.write_label_map(init, tmp_path / "l.pgm")
@@ -345,8 +345,19 @@ def test_grabcut_missing_class_is_exit_2(capsys, tmp_path):
         "7",
         "--out",
         str(tmp_path / "o.pgm"),
+        *extra,
     )
-    assert code == 2 and "error:" in err
+    assert code == 2
+    assert err == "error: class 7 not present in label map\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["i.ppm", "l.pgm"]
+
+
+def test_grabcut_missing_class_is_exit_2(capsys, tmp_path):
+    _grabcut_absent_class(capsys, tmp_path)
+
+
+def test_grabcut_missing_class_with_energy_trace_is_exit_2(capsys, tmp_path):
+    _grabcut_absent_class(capsys, tmp_path, "--energy-trace", str(tmp_path / "t.json"))
 
 
 # --- ensemble ---
@@ -499,6 +510,39 @@ def test_roi_crop_from_jsonl(capsys, tmp_path):
     assert code == 2 and "no box for frame" in err
 
 
+# JSON box coordinates that are not plain integers
+BAD_BOXES = {
+    "string": '["x", 0, 4, 4]',
+    "fraction": "[0.9, 0, 4.7, 4]",
+    "bool": "[true, 0, 4, 4]",
+    "integral-float": "[0, 0, 4.0, 4]",
+}
+
+
+@pytest.mark.parametrize("box", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+def test_roi_crop_rejects_non_integer_jsonl_box(capsys, tmp_path, box):
+    ea.write_label_map(np.zeros((8, 8), dtype=np.uint8), tmp_path / "l.pgm")
+    jl = tmp_path / "boxes.jsonl"
+    jl.write_text('{"frame": "f0", "box": %s}\n' % box)
+    code, _, err = run(
+        capsys,
+        "roi",
+        "crop",
+        "--labels",
+        str(tmp_path / "l.pgm"),
+        "--boxes-jsonl",
+        str(jl),
+        "--frame",
+        "f0",
+        "--out",
+        str(tmp_path / "c.pgm"),
+    )
+    assert code == 2
+    assert err.startswith(f"error: {jl}:1: box coordinates must be integers")
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.pgm").exists()
+
+
 def test_roi_paste(capsys, tmp_path):
     canvas = np.zeros((4, 4), dtype=np.uint8)
     patch = np.full((2, 2), 3, dtype=np.uint8)
@@ -596,4 +640,30 @@ def test_pipeline_missing_box_is_exit_2(capsys, tmp_path):
         str(tmp_path / "out"),
     )
     assert code == 2 and "no box for frame" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("box", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+def test_pipeline_rejects_non_integer_box(capsys, tmp_path, box):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    paths["boxes"].write_text(
+        '{"frame": "000", "box": [4, 4, 28, 28]}\n{"frame": "001", "box": %s}\n' % box
+    )
+    code, _, err = run(
+        capsys,
+        "pipeline",
+        "--images",
+        str(paths["images"]),
+        "--boxes",
+        str(paths["boxes"]),
+        "--logits-dir",
+        str(paths["clean"]),
+        "--gt-dir",
+        str(paths["gt"]),
+        "--out-dir",
+        str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert err.startswith(f"error: {paths['boxes']}:2: box coordinates must be integers")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()

@@ -5,8 +5,10 @@ import pytest
 
 import helpers
 import eaparse as ea
+from eaparse import grabcut
 from eaparse.errors import ClassAbsent, DegenerateMask, InvalidRaster, ShapeMismatch, TooFewPixels
 from eaparse.grabcut import (
+    _GMM_ROUNDS,
     TRIMAP_BG,
     TRIMAP_FG,
     TRIMAP_PROB_BG,
@@ -91,6 +93,59 @@ def test_gmm_likelihood_matches_single_gaussian_formula():
     assert np.allclose(gmm.log_likelihood(px), expected, atol=1e-12)
 
 
+def _oracle_fit_inputs():
+    """Seeded fit inputs: k from 1 to 5, continuous, quantised and clustered pixels."""
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(max(k, 5), 300))
+        style = case % 3
+        if style == 0:
+            px = rng.uniform(0, 255, (n, 3))
+        elif style == 1:
+            px = (rng.integers(0, 4, (n, 3)) * 60).astype(np.float64)  # many exact ties
+        else:
+            px = rng.normal(128, 40, (n, 3))
+        yield px, k, case
+
+
+def test_gmm_matches_refit_loop_oracle():
+    capped = 0
+    for px, k, seed in _oracle_fit_inputs():
+        want, want_trace, stable = helpers.oracle_fit_gmm(px, k, seed)
+        gmm, trace = fit_gmm(px, k, seed, with_trace=True)
+        plain = fit_gmm(px, k, seed)
+        for got in (gmm, plain):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.means.tobytes() == want.means.tobytes()
+            assert got.covariances.tobytes() == want.covariances.tobytes()
+        assert trace == want_trace
+        capped += not stable
+    assert capped > 0  # some fits must end on the round cap, not on a repeat
+    assert capped < 60
+
+
+def test_gmm_scores_each_model_once(monkeypatch):
+    counts = {"models": 0, "scored": 0}
+    estimate = grabcut._estimate
+    logpdf = grabcut.ColorGmm._component_logpdf
+
+    def counting_estimate(*args, **kwargs):
+        counts["models"] += 1
+        return estimate(*args, **kwargs)
+
+    def counting_logpdf(self, pixels):
+        counts["scored"] += 1
+        return logpdf(self, pixels)
+
+    monkeypatch.setattr(grabcut, "_estimate", counting_estimate)
+    monkeypatch.setattr(grabcut.ColorGmm, "_component_logpdf", counting_logpdf)
+    for px, k, seed in _oracle_fit_inputs():
+        counts.update(models=0, scored=0)
+        fit_gmm(px, k, seed, with_trace=seed % 2 == 0)
+        assert 1 <= counts["scored"] <= counts["models"] <= _GMM_ROUNDS + 1
+
+
 def test_gmm_too_few_pixels():
     with pytest.raises(TooFewPixels):
         fit_gmm(np.zeros((2, 3)), 5, 0)
@@ -165,6 +220,43 @@ def test_refine_is_bit_identical_across_reruns():
     r2, t2 = ea.grabcut_refine(image, init, ea.GrabcutParams(rng_seed=3))
     assert (r1 == r2).all()
     assert t1 == t2
+
+
+def _count_max_flow(monkeypatch) -> list:
+    calls = []
+    solve = grabcut.max_flow
+
+    def counting(graph):
+        calls.append(graph)
+        return solve(graph)
+
+    monkeypatch.setattr(grabcut, "max_flow", counting)
+    return calls
+
+
+def test_refine_stops_at_fixed_point_and_pads_trace(monkeypatch):
+    image, _, init = helpers.disk_scene()
+    params = ea.GrabcutParams(rng_seed=3)
+    calls = _count_max_flow(monkeypatch)
+    refined, trace = ea.grabcut_refine(image, init, params)
+    rounds = len(calls)
+    assert 0 < rounds < params.iterations
+    assert len(trace) == params.iterations
+    assert trace[rounds - 1 :] == [trace[-1]] * (params.iterations - rounds + 1)
+    short, short_trace = ea.grabcut_refine(image, init, ea.GrabcutParams(rng_seed=3, iterations=rounds))
+    assert (short == refined).all()
+    assert short_trace == trace[:rounds]
+
+
+def test_refine_runs_every_round_while_partition_changes(monkeypatch):
+    image, init = helpers.ramp_scene(8)
+    kw = dict(rng_seed=8, gamma=1.0, components_k=3, erode_radius=2, dilate_radius=8)
+    four, trace4 = ea.grabcut_refine(image, init, ea.GrabcutParams(iterations=4, **kw))
+    calls = _count_max_flow(monkeypatch)
+    five, trace5 = ea.grabcut_refine(image, init, ea.GrabcutParams(iterations=5, **kw))
+    assert (four != five).any()  # the fifth cut still moved pixels
+    assert len(calls) == 5
+    assert trace5[:4] == trace4 and len(trace5) == 5
 
 
 def test_refine_respects_definite_regions():

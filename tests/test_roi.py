@@ -19,6 +19,8 @@ def test_box_rejects_empty_or_non_integer():
         ea.Box(4, 0, 3, 5)
     with pytest.raises(InvalidBox):
         ea.Box(0.5, 0, 3, 5)
+    with pytest.raises(InvalidBox):
+        ea.Box(True, 0, 3, 5)
 
 
 def test_expand_documented_example():

@@ -20,20 +20,32 @@ from .errors import LabelOutOfRange, ShapeMismatch, TooSmall
 from .tensorio import ensure_label_map, ensure_rgb_image
 
 
+def _swap_pair(entry) -> tuple[int, int]:
+    if (
+        not isinstance(entry, (list, tuple, np.ndarray))
+        or len(entry) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in entry)
+    ):
+        raise LabelOutOfRange(f"swap pair must be two integers, got {entry!r}")
+    return int(entry[0]), int(entry[1])
+
+
 @dataclass(frozen=True)
 class SwapTable:
     """Pairs of class ids to exchange under mirroring, e.g. [(2, 3), (4, 5)].
 
-    Ids must fit in a byte, a pair may not map an id to itself, and no id
-    may appear in two pairs; the induced relabeling is therefore an
-    involution.
+    Each pair is exactly two integers (not bools), ids must fit in a byte, a
+    pair may not map an id to itself, and no id may appear in two pairs; the
+    induced relabeling is therefore an involution.
     """
 
     pairs: tuple[tuple[int, int], ...]
     _lut: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, pairs=()):
-        norm = tuple((int(a), int(b)) for a, b in pairs)
+        if not isinstance(pairs, (list, tuple, np.ndarray)):
+            raise LabelOutOfRange(f"swap pairs must be a list of pairs, got {pairs!r}")
+        norm = tuple(_swap_pair(entry) for entry in pairs)
         lut = np.arange(256, dtype=np.uint8)
         seen = set()
         for a, b in norm:

@@ -377,9 +377,11 @@ def _pipeline_frame(cfg, args, idx: int, stem: str, boxes: list[Box]):
         if args.refine_classes is not None
         else [int(c) for c in cfg["grabcut"]["classes"]]
     )
+    params = None  # built on first use: a frame that refines nothing never checks them
     for class_id in refine_ids:
         if (canvas == class_id).any():
-            params = _grabcut_params(cfg, args, rng_seed=_frame_seed(cfg["rng_seed"], idx))
+            if params is None:
+                params = _grabcut_params(cfg, args, rng_seed=_frame_seed(cfg["rng_seed"], idx))
             canvas = refine_class(canvas, image, class_id, params)
     return canvas, gt
 
@@ -391,7 +393,7 @@ def _cmd_pipeline(cfg, args) -> int:
         if stem not in all_boxes:
             raise ToolkitError(f"{args.boxes}: no box for frame {stem!r}")
 
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
 
     def work(item):
         idx, stem = item
@@ -422,6 +424,16 @@ def _cmd_pipeline(cfg, args) -> int:
 # --- parser ---
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaparse",
@@ -431,7 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="c.json", help="JSON config merged over defaults")
     parser.add_argument("--seed", type=int, help="override the config rng seed")
-    parser.add_argument("--jobs", type=int, help="pipeline worker threads (default: CPU count)")
+    parser.add_argument(
+        "--jobs", type=_positive_int, help="pipeline worker threads, >= 1 (default: CPU count)"
+    )
     parser.add_argument(
         "--print-config",
         action="store_true",

@@ -191,8 +191,9 @@ def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
 
     rng = np.random.default_rng(rng_seed)
     centers = px[int(rng.integers(n))][None]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
     for _ in range(1, k):
-        d2 = ((px[:, None, :] - centers[None]) ** 2).sum(axis=2).min(axis=1)
+        d2 = np.minimum(d2, ((px - centers[-1]) ** 2).sum(axis=1))
         total = d2.sum()
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
@@ -256,46 +257,42 @@ class GridGraph:
 def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
     """Maximum s-t flow and the minimum-cut side of every node.
 
-    Shortest-augmenting-path (level graph) search with arcs visited in a
-    fixed construction order, so results are deterministic. Returns the flow
+    Shortest-augmenting-path (level graph) search over a residual network of
+    arc pairs laid out as: s->i for every node i, then i->t for every node,
+    then both directions of every edge. Arcs 2j and 2j+1 are mutual reverses;
+    a terminal link's reverse starts at 0, a neighbor edge carries its
+    capacity both ways. A stable sort by tail groups the arcs per node while
+    keeping each node's arcs in that order, so the search visits arcs in a
+    fixed order and its flow and cut are deterministic. Returns the flow
     value and a uint8 vector with 1 for nodes on the source side of the cut
     (those reachable from s in the residual network).
     """
     n = graph.validate()
     s, t = n, n + 1
 
-    # arc a and a^1 are mutual reverses; neighbor arcs carry the shared
-    # capacity in both directions, which is the standard undirected encoding
-    to: list[int] = []
-    cap: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(n + 2)]
-
-    def add_arc(u: int, v: int, c_uv: float, c_vu: float) -> None:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(float(c_uv))
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(float(c_vu))
-
-    for i in range(n):
-        add_arc(s, i, float(graph.source_cap[i]), 0.0)
-    for i in range(n):
-        add_arc(i, t, float(graph.sink_cap[i]), 0.0)
-    for (u, v), c in zip(graph.edges.tolist(), graph.edge_cap.tolist()):
-        add_arc(int(u), int(v), c, c)
+    nodes = np.arange(n)
+    edges = graph.edges.astype(np.int64)
+    tail = np.concatenate([np.full(n, s), nodes, edges[:, 0]])
+    head = np.concatenate([nodes, np.full(n, t), edges[:, 1]])
+    fwd = np.concatenate([graph.source_cap, graph.sink_cap, graph.edge_cap]).astype(np.float64)
+    bwd = np.concatenate([np.zeros(2 * n), graph.edge_cap]).astype(np.float64)
+    arc_tail = np.stack([tail, head], axis=1).reshape(-1)
+    order = np.argsort(arc_tail, kind="stable")
+    # CSR: node u's arcs sit at start[u]..start[u+1]-1, rev[a] is a's reverse
+    start = np.concatenate([[0], np.cumsum(np.bincount(arc_tail, minlength=n + 2))]).tolist()
+    to = np.stack([head, tail], axis=1).reshape(-1)[order].tolist()
+    cap = np.stack([fwd, bwd], axis=1).reshape(-1)[order].tolist()
+    rev = np.argsort(order)[order ^ 1].tolist()
 
     flow = 0.0
-    level = [-1] * (n + 2)
     while True:
         # BFS: level graph on positive residuals
-        for i in range(n + 2):
-            level[i] = -1
+        level = [-1] * (n + 2)
         level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for a in adj[u]:
+            for a in range(start[u], start[u + 1]):
                 if cap[a] > 0.0 and level[to[a]] < 0:
                     level[to[a]] = level[u] + 1
                     queue.append(to[a])
@@ -303,7 +300,7 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
             break
 
         # blocking flow: iterative DFS with per-node arc pointers
-        ptr = [0] * (n + 2)
+        ptr = start[:-1]
         path: list[int] = []
         u = s
         while True:
@@ -313,15 +310,15 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
                 retreat = len(path)
                 for i, a in enumerate(path):
                     cap[a] -= bottleneck
-                    cap[a ^ 1] += bottleneck
+                    cap[rev[a]] += bottleneck
                     if cap[a] == 0.0 and i < retreat:
                         retreat = i  # resume from the first saturated arc
                 path = path[:retreat]
                 u = s if not path else to[path[-1]]
                 continue
             advanced = False
-            while ptr[u] < len(adj[u]):
-                a = adj[u][ptr[u]]
+            while ptr[u] < start[u + 1]:
+                a = ptr[u]
                 if cap[a] > 0.0 and level[to[a]] == level[u] + 1:
                     path.append(a)
                     u = to[a]
@@ -334,23 +331,19 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
             if u == s:
                 break
             last = path.pop()
-            u = to[last ^ 1]
+            u = to[rev[last]]
             ptr[u] += 1
 
-    side = np.zeros(n, dtype=np.uint8)
     seen = [False] * (n + 2)
     seen[s] = True
     queue = deque([s])
     while queue:
         u = queue.popleft()
-        for a in adj[u]:
+        for a in range(start[u], start[u + 1]):
             if cap[a] > 0.0 and not seen[to[a]]:
                 seen[to[a]] = True
                 queue.append(to[a])
-    for i in range(n):
-        if seen[i]:
-            side[i] = 1
-    return flow, side
+    return flow, np.array(seen[:n], dtype=np.uint8)
 
 
 # --- the refinement loop ---
@@ -390,16 +383,12 @@ def _pair_index(shape: tuple[int, int], dr: int, dc: int) -> tuple[np.ndarray, n
 
 def _labeling_energy(
     alpha: np.ndarray,
-    z: np.ndarray,
-    fg_gmm: ColorGmm,
-    bg_gmm: ColorGmm,
+    data_fg: np.ndarray,
+    data_bg: np.ndarray,
     weights: list[tuple[int, int, np.ndarray]],
 ) -> float:
-    """Gibbs energy of a labeling: capped data terms plus crossing weights."""
-    flat = z.reshape(-1, 3)
-    data_fg = np.minimum(-fg_gmm.log_likelihood(flat), MAX_DATA_TERM)
-    data_bg = np.minimum(-bg_gmm.log_likelihood(flat), MAX_DATA_TERM)
-    a = alpha.reshape(-1).astype(bool)
+    """Gibbs energy of a labeling: data terms (one per pixel, flat) plus crossing weights."""
+    a = alpha.reshape(-1)
     energy = float(data_fg[a].sum() + data_bg[~a].sum())
     for dr, dc, w in weights:
         (r0, c0), (r1, c1) = _pair_index(alpha.shape, dr, dc)
@@ -412,11 +401,14 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     """Refine a binary mask against its image; returns (mask, energy_trace).
 
     Alternates seeded GMM refits with min-cuts, recording the labeling energy
-    after each cut. Definite trimap pixels never change side, so the result
-    always contains the eroded core and never touches pixels far outside the
-    dilated envelope. A round is a deterministic function of its input
-    partition, so rounds stop after ``params.iterations`` or once a cut returns
-    its input; the trace still holds one energy per iteration, the last repeated.
+    after each cut. Each round scores every pixel once per model, as the
+    capped -log likelihood; that one data term per model gives both the
+    t-link capacities and the energy. Definite trimap pixels never change
+    side, so the result always contains the eroded core and never touches
+    pixels far outside the dilated envelope. A round is a deterministic
+    function of its input partition, so rounds stop after
+    ``params.iterations`` or once a cut returns its input; the trace still
+    holds one energy per iteration, the last repeated.
     """
     if params is None:
         params = GrabcutParams()
@@ -464,7 +456,8 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
 
     alpha = mask.astype(bool)
     fg_gmm = bg_gmm = None
-    prob_px = z[probable]
+    flat = z.reshape(-1, 3)
+    prob_flat = probable.reshape(-1)
     trace: list[float] = []
     for _ in range(params.iterations):
         fg_px = z[alpha]
@@ -473,13 +466,15 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
             fg_gmm = fit_gmm(fg_px, min(params.components_k, fg_px.shape[0]), fg_seed)
         if bg_px.shape[0]:
             bg_gmm = fit_gmm(bg_px, min(params.components_k, bg_px.shape[0]), bg_seed)
+        data_fg = np.minimum(-fg_gmm.log_likelihood(flat), MAX_DATA_TERM)
+        data_bg = np.minimum(-bg_gmm.log_likelihood(flat), MAX_DATA_TERM)
 
         cut = def_fg.copy()
         if n_nodes:
             # source side = foreground: the link a cut severs is the one to
             # the terminal the pixel does NOT join, hence the opposite model
-            src = np.minimum(-bg_gmm.log_likelihood(prob_px), MAX_DATA_TERM) + fold_fg
-            snk = np.minimum(-fg_gmm.log_likelihood(prob_px), MAX_DATA_TERM) + fold_bg
+            src = data_bg[prob_flat] + fold_fg
+            snk = data_fg[prob_flat] + fold_bg
             shift = np.minimum(src, snk)  # same constant on both terminals of a
             src = src - shift  # pixel moves every cut equally; keeps caps >= 0
             snk = snk - shift
@@ -487,7 +482,7 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
                 GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap)
             )
             cut[probable] = side.astype(bool)
-        trace.append(_labeling_energy(cut, z, fg_gmm, bg_gmm, weights))
+        trace.append(_labeling_energy(cut, data_fg, data_bg, weights))
         if (cut == alpha).all():
             break  # fixed point: every later round would get this input and repeat this one
         alpha = cut

@@ -143,6 +143,105 @@ def random_grid_graph(rng: np.random.Generator, max_nodes: int = 12) -> ea.GridG
     )
 
 
+def oracle_max_flow(graph: ea.GridGraph):
+    """List-based Dinic: arc lists built one arc at a time, as ``max_flow`` once did.
+
+    Arc a and a^1 are mutual reverses; every node's arcs sit in ``adj`` in
+    construction order (s->i, then i->t, then each edge both ways). Returns
+    (flow, side) like ``max_flow``.
+    """
+    from collections import deque
+
+    n = graph.validate()
+    s, t = n, n + 1
+
+    to: list[int] = []
+    cap: list[float] = []
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
+
+    def add_arc(u: int, v: int, c_uv: float, c_vu: float) -> None:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(float(c_uv))
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(float(c_vu))
+
+    for i in range(n):
+        add_arc(s, i, float(graph.source_cap[i]), 0.0)
+    for i in range(n):
+        add_arc(i, t, float(graph.sink_cap[i]), 0.0)
+    for (u, v), c in zip(graph.edges.tolist(), graph.edge_cap.tolist()):
+        add_arc(int(u), int(v), c, c)
+
+    flow = 0.0
+    level = [-1] * (n + 2)
+    while True:
+        # BFS: level graph on positive residuals
+        for i in range(n + 2):
+            level[i] = -1
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for a in adj[u]:
+                if cap[a] > 0.0 and level[to[a]] < 0:
+                    level[to[a]] = level[u] + 1
+                    queue.append(to[a])
+        if level[t] < 0:
+            break
+
+        # blocking flow: iterative DFS with per-node arc pointers
+        ptr = [0] * (n + 2)
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                bottleneck = min(cap[a] for a in path)
+                flow += bottleneck
+                retreat = len(path)
+                for i, a in enumerate(path):
+                    cap[a] -= bottleneck
+                    cap[a ^ 1] += bottleneck
+                    if cap[a] == 0.0 and i < retreat:
+                        retreat = i  # resume from the first saturated arc
+                path = path[:retreat]
+                u = s if not path else to[path[-1]]
+                continue
+            advanced = False
+            while ptr[u] < len(adj[u]):
+                a = adj[u][ptr[u]]
+                if cap[a] > 0.0 and level[to[a]] == level[u] + 1:
+                    path.append(a)
+                    u = to[a]
+                    advanced = True
+                    break
+                ptr[u] += 1
+            if advanced:
+                continue
+            level[u] = -1  # dead end for this phase
+            if u == s:
+                break
+            last = path.pop()
+            u = to[last ^ 1]
+            ptr[u] += 1
+
+    side = np.zeros(n, dtype=np.uint8)
+    seen = [False] * (n + 2)
+    seen[s] = True
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for a in adj[u]:
+            if cap[a] > 0.0 and not seen[to[a]]:
+                seen[to[a]] = True
+                queue.append(to[a])
+    for i in range(n):
+        if seen[i]:
+            side[i] = 1
+    return flow, side
+
+
 # --- mixture-fit oracle ---
 
 

@@ -227,6 +227,35 @@ def test_augment_hflip_with_swaps_file(capsys, tmp_path):
     assert (ea.read_label_map(prefix + "labels.pgm") == want_lab).all()
 
 
+BAD_SWAP_PAIRS = {
+    "one-id": "[[1]]",
+    "three-ids": "[[1, 2, 3]]",
+    "string": '[["a", 2]]',
+    "fraction": "[[1.5, 2]]",
+    "not-a-list": "5",
+}
+
+
+@pytest.mark.parametrize("route", ["global", "augment"])
+@pytest.mark.parametrize("pairs", BAD_SWAP_PAIRS.values(), ids=BAD_SWAP_PAIRS.keys())
+def test_augment_rejects_malformed_swap_pairs(capsys, tmp_path, pairs, route):
+    ea.write_rgb_image(np.zeros((4, 5, 3), dtype=np.uint8), tmp_path / "i.ppm")
+    ea.write_label_map(np.zeros((4, 5), dtype=np.uint8), tmp_path / "l.pgm")
+    config = tmp_path / "c.json"
+    config.write_text('{"swap_pairs": %s}' % pairs)
+    argv = ["augment", "--op", "hflip", "--image", str(tmp_path / "i.ppm")]
+    argv += ["--labels", str(tmp_path / "l.pgm"), "--out-prefix", str(tmp_path / "out_")]
+    if route == "global":
+        argv = ["--config", str(config)] + argv
+    else:
+        argv += ["--config", str(config)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: swap pair")
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out_*"))
+
+
 def test_augment_cuthalf_requires_side(capsys, tmp_path):
     image = np.zeros((4, 4, 3), dtype=np.uint8)
     labels = np.zeros((4, 4), dtype=np.uint8)
@@ -620,6 +649,61 @@ def test_pipeline_outputs_identical_across_jobs(capsys, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     report = helpers.read_report(outs[0])
     assert report["J_and_F"] > 0.9
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_pipeline_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "--jobs",
+                jobs,
+                "pipeline",
+                "--images",
+                str(paths["images"]),
+                "--boxes",
+                str(paths["boxes"]),
+                "--logits-dir",
+                str(paths["clean"]),
+                "--gt-dir",
+                str(paths["gt"]),
+                "--out-dir",
+                str(tmp_path / "out"),
+            ]
+        )
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --jobs: must be >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_runtime_does_not_import_scipy_or_numba(tmp_path):
+    # a fresh interpreter, so no other test's imports leak into sys.modules
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
+    argv = ["--jobs", "1", "pipeline", "--images", str(paths["images"])]
+    argv += ["--boxes", str(paths["boxes"]), "--logits-dir", str(paths["degraded"])]
+    argv += ["--gt-dir", str(paths["gt"]), "--out-dir", str(tmp_path / "out")]
+    argv += ["--refine-classes", "1"]
+    script = (
+        "import json, sys; from eaparse.cli import main; code = main(json.loads(sys.argv[1])); "
+        "print(json.dumps([code, sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'numba'))]))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert (tmp_path / "out" / "000.pgm").exists()
 
 
 def test_pipeline_missing_box_is_exit_2(capsys, tmp_path):

@@ -191,6 +191,44 @@ def test_max_flow_matches_enumeration_on_seeded_grids():
         assert helpers.cut_value(g, side) == flow
 
 
+def _oracle_grid_graphs():
+    """Seeded 8-connected grids up to 40x40, some with dropped edges, some with
+    capacities spread over 1e-9..1e9 so that residuals hit exactly 0.0 late."""
+    rng = np.random.default_rng(5)
+    for case in range(40):
+        h, w = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+        idx = np.arange(h * w).reshape(h, w)
+        edges = np.concatenate(
+            [
+                np.stack(
+                    [
+                        idx[: h - dr, max(0, -dc) : w - max(0, dc)].ravel(),
+                        idx[dr:, max(0, dc) : w - max(0, -dc)].ravel(),
+                    ],
+                    axis=1,
+                )
+                for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1))
+            ]
+        )
+        if case % 2:
+            edges = edges[rng.random(len(edges)) < 0.7]
+        n, m = h * w, len(edges)
+        if case % 3 == 0:
+            caps = [10.0 ** rng.uniform(-9, 9, size) for size in (n, n, m)]
+        else:
+            caps = [rng.random(n) * 10, rng.random(n) * 10, rng.random(m) * 3]
+        yield GridGraph(caps[0], caps[1], edges, caps[2])
+
+
+def test_max_flow_matches_list_dinic_oracle():
+    for g in _oracle_grid_graphs():
+        flow, side = max_flow(g)
+        want_flow, want_side = helpers.oracle_max_flow(g)
+        assert flow == want_flow
+        assert side.dtype == want_side.dtype
+        assert side.tobytes() == want_side.tobytes()
+
+
 def test_graph_validation_errors():
     with pytest.raises(ShapeMismatch):
         GridGraph(np.zeros(2), np.zeros(3), np.zeros((0, 2), dtype=int), np.zeros(0)).validate()
@@ -246,6 +284,36 @@ def test_refine_stops_at_fixed_point_and_pads_trace(monkeypatch):
     short, short_trace = ea.grabcut_refine(image, init, ea.GrabcutParams(rng_seed=3, iterations=rounds))
     assert (short == refined).all()
     assert short_trace == trace[:rounds]
+
+
+def test_refine_scores_each_mixture_once_per_round(monkeypatch):
+    # one capped data term per model per round feeds both the t-links and the energy
+    log_likelihood = grabcut.ColorGmm.log_likelihood
+    scored = []
+
+    def counting(self, pixels):
+        scored.append(len(pixels))
+        return log_likelihood(self, pixels)
+
+    monkeypatch.setattr(grabcut.ColorGmm, "log_likelihood", counting)
+    image, _, init = helpers.disk_scene()
+    ramp, ramp_init = helpers.ramp_scene(8)
+    cases = [
+        (image, init, ea.GrabcutParams(rng_seed=3)),
+        (
+            ramp,
+            ramp_init,
+            ea.GrabcutParams(rng_seed=8, gamma=1.0, components_k=3, erode_radius=2, dilate_radius=8),
+        ),
+    ]
+    calls = _count_max_flow(monkeypatch)
+    for img, mask, params in cases:
+        scored.clear()
+        calls.clear()
+        ea.grabcut_refine(img, mask, params)
+        assert len(calls) > 0
+        assert len(scored) == 2 * len(calls)
+        assert set(scored) == {mask.size}  # the whole frame, once per model
 
 
 def test_refine_runs_every_round_while_partition_changes(monkeypatch):

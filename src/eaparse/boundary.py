@@ -5,6 +5,8 @@ label; pixels on the image border are compared only against neighbors that
 exist, so a constant map has no boundary. Dilation and erosion use a disk
 structuring element: offsets (dr, dc) with dr*dr + dc*dc <= radius*radius.
 Pixels outside the frame count as background (erosion shrinks at the border).
+A radius above h + w acts as h + w: that disk already holds every offset that
+keeps a pixel in an h x w frame and one that moves every pixel out of it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def dilate_mask(mask, radius: int) -> np.ndarray:
     """Disk dilation: a pixel turns on if any source pixel lies within ``radius``."""
     m = ensure_binary_mask(mask).astype(bool)
     out = np.zeros_like(m)
-    for dr, dc in disk_offsets(radius):
+    for dr, dc in disk_offsets(min(radius, sum(m.shape))):
         out |= _shifted(m, dr, dc)
     return out.astype(np.uint8)
 
@@ -72,7 +74,7 @@ def erode_mask(mask, radius: int) -> np.ndarray:
     """Disk erosion, dual of :func:`dilate_mask`; off-frame pixels count as 0."""
     m = ensure_binary_mask(mask).astype(bool)
     out = np.ones_like(m)
-    for dr, dc in disk_offsets(radius):
+    for dr, dc in disk_offsets(min(radius, sum(m.shape))):
         out &= _shifted(m, dr, dc)
     return out.astype(np.uint8)
 

@@ -3,7 +3,10 @@
 Global flags (given before the subcommand): ``--config c.json`` merges a
 JSON document over the built-in defaults, ``--seed S`` overrides the config
 seed, ``--jobs N`` sizes the pipeline worker pool, and ``--print-config``
-prints the effective configuration as JSON and exits.
+prints the effective configuration as JSON and exits. A subcommand flag
+that shadows a config key has the key's dotted path as its dest (``--gamma``:
+``grabcut.gamma``); the flags given are merged over the config as the config
+is merged over the defaults, so handlers read every setting from ``cfg``.
 
 Exit codes: 0 on success, 2 on malformed input of any kind (bad files, bad
 flags, unknown config keys), 1 on an internal error. No subcommand writes a
@@ -32,14 +35,9 @@ from .errors import ToolkitError
 from .grabcut import GrabcutParams, _refine_class_with_trace, refine_class
 from .metrics import evaluate_frames
 from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
-from .segloss import (
-    LossResult,
-    LossWeights,
-    boundary_bce,
-    softmax_cross_entropy,
-    total_loss,
-)
+from .segloss import LossResult, LossWeights, boundary_bce, softmax_cross_entropy, total_loss
 from .tensorio import (
+    _write_file,
     read_label_map,
     read_logits,
     read_rgb_image,
@@ -68,8 +66,25 @@ DEFAULT_CONFIG = {
 }
 
 
+_KINDS = {  # kind: (test, what a value of that kind must be)
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
+    "list": (lambda v: type(v) is list and all(type(x) is int for x in v), "a list of integers"),
+    "size": (lambda v: type(v) is list and list(map(type, v)) == [int, int], "[height, width]"),
+}
+# A leaf has the kind of its default. The null defaults name theirs here (null
+# stays valid), and swap_pairs is left to SwapTable, which checks each pair.
+_LEAF_KINDS = {
+    "config.swap_pairs": None,
+    "config.ensemble_size": "size",
+    "config.metric_tolerance": "int",
+    "config.classes": "list",
+}
+
+
 def _merge_config(base: dict, override: dict, scope: str = "config") -> dict:
-    """Recursive merge that rejects keys the schema does not define."""
+    """Recursive merge that rejects keys the schema does not define and values
+    of another kind than their key's."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
@@ -79,6 +94,11 @@ def _merge_config(base: dict, override: dict, scope: str = "config") -> dict:
                 raise ToolkitError(f"{scope}.{key} must be an object")
             out[key] = _merge_config(base[key], value, f"{scope}.{key}")
         else:
+            kind = _LEAF_KINDS.get(f"{scope}.{key}", type(base[key]).__name__)
+            nullable = base[key] is None
+            if kind and not ((value is None and nullable) or _KINDS[kind][0](value)):
+                what = _KINDS[kind][1] + (" or null" if nullable else "")
+                raise ToolkitError(f"{scope}.{key} must be {what}, got {json.dumps(value)}")
             out[key] = value
     return out
 
@@ -92,15 +112,22 @@ def _load_json(path):
 
 
 def _effective_config(args) -> dict:
+    """Defaults, then ``--config``, then every flag given whose dest is a config path."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config is not None:
         user = _load_json(args.config)
         if not isinstance(user, dict):
             raise ToolkitError(f"{args.config}: config must be a JSON object")
         cfg = _merge_config(cfg, user)
-    if getattr(args, "seed", None) is not None:
-        cfg["rng_seed"] = int(args.seed)
-    return cfg
+    flags: dict = {}
+    for dest, value in vars(args).items():
+        path = dest.split(".")
+        if value is not None and path[0] in DEFAULT_CONFIG:
+            node = flags
+            for name in path[:-1]:
+                node = node.setdefault(name, {})
+            node[path[-1]] = value
+    return _merge_config(cfg, flags)
 
 
 def _parse_box(text: str) -> Box:
@@ -117,8 +144,9 @@ def _parse_box(text: str) -> Box:
 def _parse_classes(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise ToolkitError(f"class list must be comma-separated integers, got {text!r}") from exc
+    except ValueError:
+        msg = f"class list must be comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
@@ -169,17 +197,9 @@ def _swap_table(cfg: dict, swaps_path) -> SwapTable:
     return SwapTable(pairs)
 
 
-def _grabcut_params(cfg: dict, args, rng_seed: int) -> GrabcutParams:
-    gc = cfg["grabcut"]
-    pick = lambda flag, key: gc[key] if flag is None else flag  # noqa: E731
-    return GrabcutParams(
-        components_k=int(pick(getattr(args, "components", None), "components_k")),
-        gamma=float(pick(getattr(args, "gamma", None), "gamma")),
-        iterations=int(pick(getattr(args, "iters", None), "iterations")),
-        erode_radius=int(pick(getattr(args, "erode", None), "erode_radius")),
-        dilate_radius=int(pick(getattr(args, "dilate", None), "dilate_radius")),
-        rng_seed=rng_seed,
-    )
+def _grabcut_params(cfg: dict, rng_seed: int) -> GrabcutParams:
+    gc = {key: value for key, value in cfg["grabcut"].items() if key != "classes"}
+    return GrabcutParams(**gc, rng_seed=rng_seed)
 
 
 # --- subcommand handlers ---
@@ -187,8 +207,7 @@ def _grabcut_params(cfg: dict, args, rng_seed: int) -> GrabcutParams:
 
 def _cmd_edges(cfg, args) -> int:
     labels = read_label_map(args.labels)
-    radius = cfg["edge_radius"] if args.radius is None else args.radius
-    mask = edge_attention_mask(labels, int(radius))
+    mask = edge_attention_mask(labels, cfg["edge_radius"])
     write_label_map(mask, args.out)
     return 0
 
@@ -211,15 +230,7 @@ def _cmd_loss(cfg, args) -> int:
         el = read_logits(args.edge_logits)
         bnd = boundary_bce(el, extract_boundary(labels), want_gradient=want_grad)
 
-    weights = LossWeights(
-        lambda_edge=cfg["loss_weights"]["lambda_edge"]
-        if args.edge_weight is None
-        else args.edge_weight,
-        lambda_boundary=cfg["loss_weights"]["lambda_boundary"]
-        if args.boundary_weight is None
-        else args.boundary_weight,
-    )
-    total = total_loss(seg, edge, bnd, weights)
+    total = total_loss(seg, edge, bnd, LossWeights(**cfg["loss_weights"]))
     if want_grad:
         write_logits(total.gradient.astype(np.float32), args.grad_out)
     print(json.dumps({"loss": total.loss, "pixels": total.contributing_pixels}))
@@ -248,13 +259,11 @@ def _cmd_augment(cfg, args) -> int:
 def _cmd_grabcut(cfg, args) -> int:
     image = read_rgb_image(args.image)
     labels = read_label_map(args.labels)
-    params = _grabcut_params(cfg, args, rng_seed=cfg["rng_seed"])
+    params = _grabcut_params(cfg, cfg["rng_seed"])
     out, trace = _refine_class_with_trace(labels, image, args.class_id, params)
     write_label_map(out, args.out)
     if args.energy_trace is not None:
-        with open(args.energy_trace, "w", encoding="utf-8") as f:
-            json.dump(trace, f)
-            f.write("\n")
+        _write_file(args.energy_trace, (json.dumps(trace) + "\n").encode("utf-8"))
     return 0
 
 
@@ -278,30 +287,21 @@ def _list_frames(directory, suffix: str) -> list[str]:
     return names
 
 
-def _report_json(cfg, args, preds, gts) -> str:
-    """The J/F report of ``preds`` against ``gts`` as sorted-key JSON text.
-
-    Scored classes: ``--classes``, else the config's ``classes``, else every
-    non-zero ground-truth class. ``--tolerance`` overrides the config's.
-    """
-    if args.classes is not None:
-        class_ids = _parse_classes(args.classes)
-    elif cfg["classes"] is not None:
-        class_ids = [int(c) for c in cfg["classes"]]
-    else:
+def _report_json(cfg, preds, gts) -> bytes:
+    """The J/F report of ``preds`` against ``gts`` as sorted-key JSON bytes, scoring the
+    config's ``classes``, else every non-zero ground-truth class."""
+    class_ids = cfg["classes"]
+    if class_ids is None:
         class_ids = sorted(set(int(v) for g in gts for v in np.unique(g)) - {0})
-    tolerance = cfg["metric_tolerance"] if args.tolerance is None else args.tolerance
-    report = evaluate_frames(preds, gts, class_ids, tolerance)
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    report = evaluate_frames(preds, gts, class_ids, cfg["metric_tolerance"])
+    return (json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _cmd_eval(cfg, args) -> int:
     names = _list_frames(args.pred_dir, ".pgm")
     preds = [read_label_map(Path(args.pred_dir) / n) for n in names]
     gts = [read_label_map(Path(args.gt_dir) / n) for n in names]
-    payload = _report_json(cfg, args, preds, gts)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(payload)
+    _write_file(args.out, _report_json(cfg, preds, gts))
     return 0
 
 
@@ -343,12 +343,11 @@ def _pipeline_frame(cfg, args, idx: int, stem: str, boxes: list[Box]):
     image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
     gt = read_label_map(Path(args.gt_dir) / f"{stem}.pgm")
     h, w = image.shape[:2]
-    ratio = cfg["expand_ratio"] if args.expand is None else args.expand
 
     canvas = np.zeros((h, w), dtype=np.uint8)
     confidence = np.zeros((h, w), dtype=np.float64)
     for k, box in enumerate(boxes):
-        roi_box = expand_box(box, ratio, w, h)
+        roi_box = expand_box(box, cfg["expand_ratio"], w, h)
         members = []
         for d in args.logits_dir:
             path = Path(d) / f"{stem}__{k}.fplt"
@@ -361,32 +360,22 @@ def _pipeline_frame(cfg, args, idx: int, stem: str, boxes: list[Box]):
         patch = probs.argmax(axis=0).astype(np.uint8)
         patch_conf = probs.max(axis=0)
         canvas = paste(
-            canvas,
-            patch,
-            roi_box,
-            canvas_confidence=confidence,
-            patch_confidence=patch_conf,
+            canvas, patch, roi_box, canvas_confidence=confidence, patch_confidence=patch_conf
         )
         window = confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1]
-        confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1] = np.maximum(
-            window, patch_conf
-        )
+        window[...] = np.maximum(window, patch_conf)
 
-    refine_ids = (
-        _parse_classes(args.refine_classes)
-        if args.refine_classes is not None
-        else [int(c) for c in cfg["grabcut"]["classes"]]
-    )
-    params = None  # built on first use: a frame that refines nothing never checks them
+    refine_ids = cfg["grabcut"]["classes"]
+    # a frame seed loads numpy.random (~10 ms), so a pipeline that refines nothing derives none
+    params = _grabcut_params(cfg, _frame_seed(cfg["rng_seed"], idx)) if refine_ids else None
     for class_id in refine_ids:
         if (canvas == class_id).any():
-            if params is None:
-                params = _grabcut_params(cfg, args, rng_seed=_frame_seed(cfg["rng_seed"], idx))
             canvas = refine_class(canvas, image, class_id, params)
     return canvas, gt
 
 
 def _cmd_pipeline(cfg, args) -> int:
+    _grabcut_params(cfg, cfg["rng_seed"])  # checks the settings even if no frame refines
     stems = [Path(n).stem for n in _list_frames(args.images, ".ppm")]
     all_boxes = _read_boxes_jsonl(args.boxes)
     for stem in stems:
@@ -409,15 +398,14 @@ def _cmd_pipeline(cfg, args) -> int:
         results = [work(item) for item in enumerate(stems)]
 
     preds = [r[0] for r in results]
-    payload = _report_json(cfg, args, preds, [r[1] for r in results])
+    payload = _report_json(cfg, preds, [r[1] for r in results])
 
     # all computation succeeded; only now touch the disk
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, pred in zip(stems, preds):
         write_label_map(pred, out_dir / f"{stem}.pgm")
-    with open(out_dir / "report.json", "w", encoding="utf-8") as f:
-        f.write(payload)
+    _write_file(out_dir / "report.json", payload)
     return 0
 
 
@@ -442,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "and the file-driven pipeline tying them together.",
     )
     parser.add_argument("--config", metavar="c.json", help="JSON config merged over defaults")
-    parser.add_argument("--seed", type=int, help="override the config rng seed")
+    parser.add_argument("--seed", type=int, dest="rng_seed", help="override the config rng seed")
     parser.add_argument(
         "--jobs", type=_positive_int, help="pipeline worker threads, >= 1 (default: CPU count)"
     )
@@ -455,7 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("edges", help="write the near-boundary attention mask of a label map")
     p.add_argument("--labels", required=True, metavar="in.pgm")
-    p.add_argument("--radius", type=int, help="band radius in pixels (default from config)")
+    p.add_argument(
+        "--radius", type=int, dest="edge_radius", help="band radius in pixels (default from config)"
+    )
     p.add_argument("--out", required=True, metavar="mask.pgm")
 
     p = sub.add_parser("loss", help="evaluate the segmentation loss (and its gradient)")
@@ -468,12 +458,16 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="add the edge-restricted term over a band of this radius",
     )
-    p.add_argument("--edge-weight", type=float, metavar="W", help="weight of the edge term")
+    p.add_argument(
+        "--edge-weight", type=float, dest="loss_weights.lambda_edge", metavar="W",
+        help="weight of the edge term",
+    )
     p.add_argument(
         "--edge-logits", metavar="e.fplt", help="single-channel boundary-head logits"
     )
     p.add_argument(
-        "--boundary-weight", type=float, metavar="W", help="weight of the boundary term"
+        "--boundary-weight", type=float, dest="loss_weights.lambda_boundary", metavar="W",
+        help="weight of the boundary term",
     )
     p.add_argument(
         "--grad-out",
@@ -503,12 +497,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, metavar="i.ppm")
     p.add_argument("--labels", required=True, metavar="l.pgm")
     p.add_argument("--class", dest="class_id", type=int, required=True, metavar="K")
-    p.add_argument("--gamma", type=float, metavar="G")
-    p.add_argument("--components", type=int, metavar="K")
-    p.add_argument("--iters", type=int, metavar="N")
-    p.add_argument("--erode", type=int, metavar="R")
-    p.add_argument("--dilate", type=int, metavar="R")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="S")
+    p.add_argument("--gamma", type=float, dest="grabcut.gamma", metavar="G")
+    p.add_argument("--components", type=int, dest="grabcut.components_k", metavar="K")
+    p.add_argument("--iters", type=int, dest="grabcut.iterations", metavar="N")
+    p.add_argument("--erode", type=int, dest="grabcut.erode_radius", metavar="R")
+    p.add_argument("--dilate", type=int, dest="grabcut.dilate_radius", metavar="R")
+    p.add_argument("--seed", type=int, dest="rng_seed", default=argparse.SUPPRESS, metavar="S")
     p.add_argument("--out", required=True, metavar="refined.pgm")
     p.add_argument("--energy-trace", metavar="trace.json")
 
@@ -521,8 +515,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against ground truth (J and F)")
     p.add_argument("--pred-dir", required=True, metavar="P")
     p.add_argument("--gt-dir", required=True, metavar="G")
-    p.add_argument("--classes", metavar="1,2,...", help="default: all non-zero gt classes")
-    p.add_argument("--tolerance", type=int, metavar="T")
+    p.add_argument(
+        "--classes", type=_parse_classes, metavar="1,2,...", help="default: all non-zero gt classes"
+    )
+    p.add_argument("--tolerance", type=int, dest="metric_tolerance", metavar="T")
     p.add_argument("--out", required=True, metavar="report.json")
 
     p = sub.add_parser("roi", help="box geometry: crop out or paste back")
@@ -557,12 +553,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gt-dir", required=True, metavar="DIR")
     p.add_argument("--out-dir", required=True, metavar="DIR")
-    p.add_argument("--expand", type=float, metavar="R")
+    p.add_argument("--expand", type=float, dest="expand_ratio", metavar="R")
     p.add_argument(
-        "--refine-classes", metavar="1,2,...", help="classes to refine with grabcut"
+        "--refine-classes", type=_parse_classes, dest="grabcut.classes", metavar="1,2,...",
+        help="classes to refine with grabcut",
     )
-    p.add_argument("--classes", metavar="1,2,...", help="classes to score")
-    p.add_argument("--tolerance", type=int, metavar="T")
+    p.add_argument("--classes", type=_parse_classes, metavar="1,2,...", help="classes to score")
+    p.add_argument("--tolerance", type=int, dest="metric_tolerance", metavar="T")
     return parser
 
 

@@ -65,12 +65,14 @@ class GrabcutParams:
     def __post_init__(self):
         if self.components_k < 1:
             raise InvalidRaster(f"components_k must be >= 1, got {self.components_k}")
-        if self.gamma < 0:
-            raise InvalidRaster(f"gamma must be >= 0, got {self.gamma}")
+        if not math.isfinite(self.gamma) or self.gamma < 0:
+            raise InvalidRaster(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.iterations < 1:
             raise InvalidRaster(f"iterations must be >= 1, got {self.iterations}")
         if self.erode_radius < 0 or self.dilate_radius < 0:
             raise InvalidRaster("trimap radii must be >= 0")
+        if self.rng_seed < 0:
+            raise InvalidRaster(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,8 @@ def expand_box(box: Box, ratio: float, frame_w: int, frame_h: int) -> Box:
     [0, frame_w) x [0, frame_h). Expanding by 0 returns the box unchanged
     apart from clamping.
     """
-    if ratio < 0:
-        raise InvalidBox(f"expand ratio must be >= 0, got {ratio}")
+    if not math.isfinite(ratio) or ratio < 0:
+        raise InvalidBox(f"expand ratio must be finite and >= 0, got {ratio}")
     if frame_h < 1 or frame_w < 1:
         raise InvalidBox("frame must be at least 1 x 1")
     dx = ratio * box.width / 2.0

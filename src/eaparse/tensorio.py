@@ -22,6 +22,8 @@ In memory the domain types are plain numpy arrays:
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -141,10 +143,26 @@ def _read_file(path) -> bytes:
 
 
 def _write_file(path, payload: bytes) -> None:
+    """Replace ``path`` whole: write a new file beside it, then rename it over ``path``.
+
+    A reader sees the old file or the new one, never a partial write; on failure
+    an existing ``path`` keeps its bytes and no temporary file is left. The new
+    file gets the mode a plain ``open`` gives, and a symlink or other non-regular
+    ``path`` is replaced by a regular file.
+    """
+    # a fixed-length name, so a target name near the length limit still works
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".{os.urandom(8).hex()}.tmp")
     try:
-        with open(path, "wb") as f:
-            f.write(payload)
+        f = open(tmp, "xb")  # "x": never truncate a file this call did not create
     except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    try:
+        with f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import eaparse as ea
+from eaparse import boundary
 
 
 # --- morphology / boundary oracles ---
@@ -56,6 +57,18 @@ def oracle_erode(mask: np.ndarray, radius: int) -> np.ndarray:
                             ok = False
             out[r, c] = 1 if ok else 0
     return out
+
+
+def forbid_disks_beyond(monkeypatch, limit):
+    """Make ``boundary.disk_offsets`` fail fast when asked for a radius above ``limit``."""
+    real = boundary.disk_offsets
+
+    def spy(radius):
+        if radius > limit:
+            raise AssertionError(f"disk_offsets({radius}) asked for more than {limit}")
+        return real(radius)
+
+    monkeypatch.setattr(boundary, "disk_offsets", spy)
 
 
 # --- metric oracles ---

@@ -69,6 +69,21 @@ def test_dilate_monotone_in_radius():
     assert ea.dilate_mask(np.zeros((4, 4), dtype=np.uint8), 3).sum() == 0
 
 
+def test_radius_beyond_frame_acts_as_frame_size(monkeypatch):
+    h, w = 4, 5
+    helpers.forbid_disks_beyond(monkeypatch, h + w)
+    rng = np.random.default_rng(4)
+    m = (rng.random((h, w)) < 0.4).astype(np.uint8)
+    m[1, 2] = 1
+    for radius in range(2 * (h + w) + 3):
+        assert (ea.dilate_mask(m, radius) == helpers.oracle_dilate(m, radius)).all()
+        assert (ea.erode_mask(m, radius) == helpers.oracle_erode(m, radius)).all()
+    assert (ea.dilate_mask(m, 10**9) == helpers.oracle_dilate(m, 10**9)).all()
+    assert ea.erode_mask(np.ones((h, w), dtype=np.uint8), 10**9).sum() == 0
+    with pytest.raises(ea.InvalidRaster):
+        ea.dilate_mask(m, -1)
+
+
 def test_edge_attention_mask_uniform_is_empty():
     assert ea.edge_attention_mask(np.zeros((6, 6), dtype=np.uint8), 4).sum() == 0
 

@@ -1,5 +1,6 @@
 """The eaparse executable: flags, exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 
 import helpers
 import eaparse as ea
+from eaparse import cli
 from eaparse.cli import main
 
 
@@ -66,6 +68,144 @@ def test_non_object_config_is_exit_2(capsys, tmp_path):
     p.write_text("[1, 2]")
     code, _, err = run(capsys, "--config", str(p), "--print-config")
     assert code == 2 and "error:" in err
+
+
+# the required arguments of each subcommand; --print-config reads none of them
+REQUIRED = {
+    "edges": ["edges", "--labels", "l.pgm", "--out", "o.pgm"],
+    "loss": ["loss", "--logits", "x.fplt", "--labels", "y.pgm"],
+    "grabcut": ["grabcut", "--image", "i.ppm", "--labels", "l.pgm", "--class", "1", "--out", "o"],
+    "eval": ["eval", "--pred-dir", "p", "--gt-dir", "g", "--out", "r.json"],
+    "pipeline": ["pipeline", "--images", "i", "--boxes", "b.jsonl", "--logits-dir", "d"]
+    + ["--gt-dir", "g", "--out-dir", "o"],
+}
+
+# (subcommand or None for a global flag, flag, config path, flag text, its value,
+#  a config value that differs from both the flag's and the default)
+CONFIG_FLAGS = [
+    (None, "--seed", "rng_seed", "6", 6, 11),
+    ("edges", "--radius", "edge_radius", "5", 5, 4),
+    ("loss", "--edge-weight", "loss_weights.lambda_edge", "0.5", 0.5, 2.5),
+    ("loss", "--boundary-weight", "loss_weights.lambda_boundary", "3", 3.0, 0.25),
+    ("grabcut", "--gamma", "grabcut.gamma", "7.5", 7.5, 20.0),
+    ("grabcut", "--components", "grabcut.components_k", "2", 2, 3),
+    ("grabcut", "--iters", "grabcut.iterations", "9", 9, 2),
+    ("grabcut", "--erode", "grabcut.erode_radius", "1", 1, 4),
+    ("grabcut", "--dilate", "grabcut.dilate_radius", "6", 6, 12),
+    ("grabcut", "--seed", "rng_seed", "9", 9, 4),
+    ("eval", "--classes", "classes", "1,3", [1, 3], [2]),
+    ("eval", "--tolerance", "metric_tolerance", "2", 2, 5),
+    ("pipeline", "--expand", "expand_ratio", "0.5", 0.5, 0.1),
+    ("pipeline", "--refine-classes", "grabcut.classes", "1,2", [1, 2], [3]),
+    ("pipeline", "--classes", "classes", "4", [4], [1, 2]),
+    ("pipeline", "--tolerance", "metric_tolerance", "3", 3, 1),
+]
+
+
+def _at(cfg, path):
+    for key in path.split("."):
+        cfg = cfg[key]
+    return cfg
+
+
+def _nested(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def test_config_flag_table_covers_every_config_flag():
+    found = set()
+
+    def walk(parser, command):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, subparser in action.choices.items():
+                    walk(subparser, name)
+            elif action.dest.split(".")[0] in cli.DEFAULT_CONFIG:
+                found.update((command, flag) for flag in action.option_strings)
+
+    walk(cli._build_parser(), None)
+    assert found == {(command, flag) for command, flag, *_ in CONFIG_FLAGS}
+
+
+@pytest.mark.parametrize(
+    "command, flag, path, text, value, cfg_value",
+    CONFIG_FLAGS,
+    ids=[f"{c or 'global'}{f}" for c, f, *_ in CONFIG_FLAGS],
+)
+def test_flag_beats_config_beats_default(capsys, tmp_path, command, flag, path, text, value, cfg_value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_nested(path, cfg_value)))
+    sub = REQUIRED[command or "edges"]
+    flag_args = [flag, text]
+    seen = []
+    for argv in (
+        ["--print-config"] + sub,
+        ["--config", str(config), "--print-config"] + sub,
+        ["--config", str(config), "--print-config"]
+        + (flag_args + sub if command is None else sub + flag_args),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        seen.append(_at(json.loads(out), path))
+    assert seen == [_at(cli.DEFAULT_CONFIG, path), cfg_value, value]
+
+
+MISTYPED = {
+    "gamma-string": ('{"grabcut": {"gamma": "abc"}}', "grabcut.gamma"),
+    "radius-fraction": ('{"edge_radius": 1.7}', "edge_radius"),
+    "radius-string": ('{"edge_radius": "2"}', "edge_radius"),
+    "radius-bool": ('{"edge_radius": true}', "edge_radius"),
+    "radius-integral-float": ('{"edge_radius": 2.0}', "edge_radius"),
+    "radius-null": ('{"edge_radius": null}', "edge_radius"),
+    "size-int": ('{"ensemble_size": 5}', "ensemble_size"),
+    "size-triple": ('{"ensemble_size": [1, 2, 3]}', "ensemble_size"),
+    "weight-string": ('{"loss_weights": {"lambda_edge": "x"}}', "loss_weights.lambda_edge"),
+    "gamma-nan": ('{"grabcut": {"gamma": NaN}}', "grabcut.gamma"),
+    "gamma-overflow": ('{"grabcut": {"gamma": 1e999}}', "grabcut.gamma"),
+    "classes-strings": ('{"classes": ["1"]}', "classes"),
+    "refine-null": ('{"grabcut": {"classes": null}}', "grabcut.classes"),
+    "tolerance-float": ('{"metric_tolerance": 1.5}', "metric_tolerance"),
+    "gamma-nan-flag": (None, "grabcut.gamma"),  # grabcut --gamma nan
+}
+
+
+@pytest.mark.parametrize("doc, path", MISTYPED.values(), ids=MISTYPED.keys())
+def test_mistyped_setting_is_exit_2(capsys, tmp_path, doc, path):
+    if doc is None:
+        argv = ["--print-config", *REQUIRED["grabcut"], "--gamma", "nan"]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(doc)
+        argv = ["--config", str(config), "--print-config"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config.{path} must be ")
+    assert "Traceback" not in err
+
+
+def test_null_defaults_may_be_set_and_reset(capsys, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text('{"ensemble_size": [3, 4], "metric_tolerance": null, "classes": [1]}')
+    code, out, _ = run(capsys, "--config", str(config), "--print-config")
+    cfg = json.loads(out)
+    assert code == 0
+    assert (cfg["ensemble_size"], cfg["metric_tolerance"], cfg["classes"]) == ([3, 4], None, [1])
+
+
+@pytest.mark.parametrize("command", ["eval", "pipeline"])
+def test_bad_class_list_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(REQUIRED[command] + ["--classes", "1,x"])
+    assert exc.value.code == 2
+    assert "argument --classes: class list must be comma-separated integers" in capsys.readouterr().err
+
+
+def test_readme_default_config_matches_the_code():
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("Default configuration:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == cli.DEFAULT_CONFIG
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -131,6 +271,22 @@ def test_edges_writes_attention_mask(capsys, tmp_path):
     )
     assert code == 0
     assert (ea.read_label_map(out) == ea.extract_boundary(labels)).all()
+
+
+def test_edges_huge_radius_finishes(capsys, tmp_path, monkeypatch):
+    labels = np.zeros((8, 8), dtype=np.uint8)
+    labels[2:6, 2:6] = 1
+    ea.write_label_map(labels, tmp_path / "l.pgm")
+    helpers.forbid_disks_beyond(monkeypatch, 16)
+    out = tmp_path / "m.pgm"
+    argv = ["edges", "--labels", str(tmp_path / "l.pgm"), "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--radius", "1000000000")
+    assert code == 0, err
+    assert ea.read_label_map(out).all()
+    config = tmp_path / "c.json"
+    config.write_text('{"edge_radius": 1000000000}')
+    code, _, err = run(capsys, "--config", str(config), *argv)
+    assert code == 0, err
 
 
 # --- loss ---
@@ -359,6 +515,34 @@ def test_grabcut_subcommand_seed_flag(capsys, tmp_path):
     assert (ea.read_label_map(out) == want).all()
 
 
+def _grabcut_argv(tmp_path):
+    image, _, init = helpers.disk_scene()
+    ea.write_rgb_image(image, tmp_path / "i.ppm")
+    ea.write_label_map(init, tmp_path / "l.pgm")
+    argv = ["grabcut", "--image", str(tmp_path / "i.ppm"), "--labels", str(tmp_path / "l.pgm")]
+    return argv + ["--class", "1", "--out", str(tmp_path / "o.pgm")]
+
+
+def test_grabcut_huge_trimap_radii_finish(capsys, tmp_path, monkeypatch):
+    argv = _grabcut_argv(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text('{"grabcut": {"erode_radius": 1000000000, "dilate_radius": 1000000000}}')
+    helpers.forbid_disks_beyond(monkeypatch, 64)
+    code, _, err = run(capsys, "--config", str(config), *argv)
+    assert code == 0, err
+    assert (tmp_path / "o.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--gamma", "nan"], ["--gamma", "inf"], ["--seed", "-1"]], ids=["nan", "inf", "seed"]
+)
+def test_grabcut_rejects_bad_params(capsys, tmp_path, extra):
+    code, _, err = run(capsys, *_grabcut_argv(tmp_path), *extra)
+    assert code == 2 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
 def _grabcut_absent_class(capsys, tmp_path, *extra):
     image, _, init = helpers.disk_scene()
     ea.write_rgb_image(image, tmp_path / "i.ppm")
@@ -463,6 +647,45 @@ def test_eval_missing_gt_leaves_no_output(capsys, tmp_path):
     assert not out.exists()
 
 
+def _eval_dirs(tmp_path):
+    (tmp_path / "pred").mkdir()
+    (tmp_path / "gt").mkdir()
+    gt = np.zeros((8, 8), dtype=np.uint8)
+    gt[2:6, 2:6] = 1
+    ea.write_label_map(gt, tmp_path / "pred" / "0.pgm")
+    ea.write_label_map(gt, tmp_path / "gt" / "0.pgm")
+    return ["eval", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt")]
+
+
+def test_eval_huge_tolerance_finishes(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    helpers.forbid_disks_beyond(monkeypatch, 16)
+    code, _, err = run(capsys, *_eval_dirs(tmp_path), "--tolerance", "1000000000", "--out", str(out))
+    assert code == 0, err
+    assert json.loads(out.read_text())["J_and_F"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["eval", "edges"])
+def test_failed_write_keeps_old_output(capsys, tmp_path, monkeypatch, command):
+    if command == "eval":
+        argv = _eval_dirs(tmp_path)
+    else:
+        ea.write_label_map(np.eye(4, dtype=np.uint8), tmp_path / "l.pgm")
+        argv = ["edges", "--labels", str(tmp_path / "l.pgm")]
+    (tmp_path / "outs").mkdir()
+    out = tmp_path / "outs" / "o"
+    out.write_bytes(b"old bytes")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and "rename refused" in err
+    assert out.read_bytes() == b"old bytes"
+    assert [p.name for p in out.parent.iterdir()] == ["o"]
+
+
 # --- roi ---
 
 
@@ -500,6 +723,30 @@ def test_roi_crop_box_and_expand(capsys, tmp_path):
     assert code == 0
     want_box = ea.expand_box(ea.Box(2, 2, 6, 6), 0.5, 12, 12)
     assert (ea.read_label_map(out) == ea.crop(labels, want_box)).all()
+
+
+def test_roi_crop_without_expand_ignores_config_ratio(capsys, tmp_path):
+    labels = np.arange(144, dtype=np.uint8).reshape(12, 12)
+    ea.write_label_map(labels, tmp_path / "l.pgm")
+    config = tmp_path / "c.json"
+    config.write_text('{"expand_ratio": 0.9}')
+    out = tmp_path / "c.pgm"
+    argv = ["roi", "crop", "--labels", str(tmp_path / "l.pgm"), "--box", "2,3,6,8"]
+    code, _, _ = run(capsys, "--config", str(config), *argv, "--out", str(out))
+    assert code == 0
+    assert (ea.read_label_map(out) == labels[3:8, 2:6]).all()
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_roi_crop_rejects_non_finite_expand(capsys, tmp_path, ratio):
+    ea.write_label_map(np.zeros((8, 8), dtype=np.uint8), tmp_path / "l.pgm")
+    out = tmp_path / "c.pgm"
+    argv = ["roi", "crop", "--labels", str(tmp_path / "l.pgm"), "--box", "2,2,4,4"]
+    code, _, err = run(capsys, *argv, "--expand", ratio, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: expand ratio must be finite")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_roi_crop_from_jsonl(capsys, tmp_path):
@@ -649,6 +896,39 @@ def test_pipeline_outputs_identical_across_jobs(capsys, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     report = helpers.read_report(outs[0])
     assert report["J_and_F"] > 0.9
+
+
+def test_pipeline_rerun_leaves_exactly_its_outputs(capsys, tmp_path):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    out_dir = tmp_path / "out"
+    argv = ["pipeline", "--images", str(paths["images"]), "--boxes", str(paths["boxes"])]
+    argv += ["--logits-dir", str(paths["degraded"]), "--gt-dir", str(paths["gt"])]
+    argv += ["--out-dir", str(out_dir)]
+    digests = []
+    for _ in range(2):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["000.pgm", "001.pgm", "report.json"]
+        digests.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize(
+    "extra", [["--seed", "-1"], ["--expand", "nan"]], ids=["negative-seed", "nan-expand"]
+)
+def test_pipeline_rejects_bad_settings(capsys, tmp_path, extra):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
+    argv = ["pipeline", "--images", str(paths["images"]), "--boxes", str(paths["boxes"])]
+    argv += ["--logits-dir", str(paths["clean"]), "--gt-dir", str(paths["gt"])]
+    argv += ["--out-dir", str(tmp_path / "out")]
+    if extra[0] == "--seed":
+        argv = extra + argv
+    else:
+        argv += extra
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -366,3 +366,8 @@ def test_params_validation():
         ea.GrabcutParams(iterations=0)
     with pytest.raises(InvalidRaster):
         ea.GrabcutParams(gamma=-1.0)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(InvalidRaster):
+            ea.GrabcutParams(gamma=gamma)
+    with pytest.raises(InvalidRaster):
+        ea.GrabcutParams(rng_seed=-1)

@@ -44,6 +44,9 @@ def test_expand_zero_is_identity_inside_frame():
 def test_expand_rejects_bad_inputs():
     with pytest.raises(InvalidBox):
         ea.expand_box(ea.Box(0, 0, 2, 2), -0.1, 10, 10)
+    for ratio in (float("nan"), float("inf")):
+        with pytest.raises(InvalidBox):
+            ea.expand_box(ea.Box(0, 0, 2, 2), ratio, 10, 10)
     with pytest.raises(InvalidBox):
         ea.expand_box(ea.Box(50, 50, 60, 60), 0.2, 10, 10)
 

@@ -1,5 +1,7 @@
 """File format round-trips, exact byte layouts, and rejection of bad input."""
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -165,6 +167,33 @@ def test_fplt_nan_rejected(tmp_path):
 def test_missing_file_wrapped(tmp_path):
     with pytest.raises(IoFailure):
         ea.read_label_map(tmp_path / "nope.pgm")
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "l.pgm"
+    target.write_bytes(b"old bytes")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoFailure, match="rename refused"):
+        ea.write_label_map(np.zeros((2, 2), dtype=np.uint8), target)
+    assert target.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.pgm"]
+
+
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "wb"):
+        pass
+    # a name at the usual 255-byte limit leaves no room for a suffixed temp name
+    fresh, replaced = tmp_path / ("f" * 251 + ".pgm"), tmp_path / "replaced.pgm"
+    replaced.write_bytes(b"old")
+    for path in (fresh, replaced):
+        ea.write_label_map(np.zeros((2, 2), dtype=np.uint8), path)
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [fresh.name, "plain", "replaced.pgm"]
 
 
 def test_validators_reject_bad_shapes():

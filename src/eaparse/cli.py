@@ -35,7 +35,13 @@ from .errors import ToolkitError
 from .grabcut import GrabcutParams, _refine_class_with_trace, refine_class
 from .metrics import evaluate_frames
 from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
-from .segloss import LossResult, LossWeights, boundary_bce, softmax_cross_entropy, total_loss
+from .segloss import (
+    LossResult,
+    LossWeights,
+    boundary_bce,
+    softmax_cross_entropy,
+    total_loss,
+)
 from .tensorio import (
     _write_file,
     read_label_map,
@@ -112,22 +118,22 @@ def _load_json(path):
 
 
 def _effective_config(args) -> dict:
-    """Defaults, then ``--config``, then every flag given whose dest is a config path."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """Defaults, then ``--config``, then every flag given whose dest is a config path,
+    folded into one document so each value is checked against its default's kind."""
+    user: dict = {}
     if args.config is not None:
         user = _load_json(args.config)
         if not isinstance(user, dict):
             raise ToolkitError(f"{args.config}: config must be a JSON object")
-        cfg = _merge_config(cfg, user)
-    flags: dict = {}
+        _merge_config(DEFAULT_CONFIG, user)  # the file must be valid even where a flag wins
     for dest, value in vars(args).items():
         path = dest.split(".")
         if value is not None and path[0] in DEFAULT_CONFIG:
-            node = flags
+            node = user
             for name in path[:-1]:
                 node = node.setdefault(name, {})
             node[path[-1]] = value
-    return _merge_config(cfg, flags)
+    return _merge_config(DEFAULT_CONFIG, user)
 
 
 def _parse_box(text: str) -> Box:
@@ -360,10 +366,16 @@ def _pipeline_frame(cfg, args, idx: int, stem: str, boxes: list[Box]):
         patch = probs.argmax(axis=0).astype(np.uint8)
         patch_conf = probs.max(axis=0)
         canvas = paste(
-            canvas, patch, roi_box, canvas_confidence=confidence, patch_confidence=patch_conf
+            canvas,
+            patch,
+            roi_box,
+            canvas_confidence=confidence,
+            patch_confidence=patch_conf,
         )
         window = confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1]
-        window[...] = np.maximum(window, patch_conf)
+        confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1] = np.maximum(
+            window, patch_conf
+        )
 
     refine_ids = cfg["grabcut"]["classes"]
     # a frame seed loads numpy.random (~10 ms), so a pipeline that refines nothing derives none

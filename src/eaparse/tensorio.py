@@ -145,10 +145,12 @@ def _read_file(path) -> bytes:
 def _write_file(path, payload: bytes) -> None:
     """Replace ``path`` whole: write a new file beside it, then rename it over ``path``.
 
-    A reader sees the old file or the new one, never a partial write; on failure
-    an existing ``path`` keeps its bytes and no temporary file is left. The new
-    file gets the mode a plain ``open`` gives, and a symlink or other non-regular
-    ``path`` is replaced by a regular file.
+    If the process fails or is killed, a reader sees the old file or the new one,
+    never a partial write (there is no fsync, so a power loss may still lose
+    either); on failure an existing ``path`` keeps its bytes and no temporary file
+    is left. The new file gets the mode and owner a plain ``open`` gives a new
+    file, so an existing file's mode, owner and hard links are not kept, and a
+    symlink or other non-regular ``path`` is replaced by a regular file.
     """
     # a fixed-length name, so a target name near the length limit still works
     tmp = os.path.join(os.path.dirname(os.fspath(path)), f".{os.urandom(8).hex()}.tmp")

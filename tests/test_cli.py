@@ -81,13 +81,14 @@ REQUIRED = {
 }
 
 # (subcommand or None for a global flag, flag, config path, flag text, its value,
-#  a config value that differs from both the flag's and the default)
+#  a config value that differs from both the flag's and the default). Some number
+#  keys get an integer config value, which a float flag must still beat.
 CONFIG_FLAGS = [
     (None, "--seed", "rng_seed", "6", 6, 11),
     ("edges", "--radius", "edge_radius", "5", 5, 4),
-    ("loss", "--edge-weight", "loss_weights.lambda_edge", "0.5", 0.5, 2.5),
+    ("loss", "--edge-weight", "loss_weights.lambda_edge", "0.5", 0.5, 2),
     ("loss", "--boundary-weight", "loss_weights.lambda_boundary", "3", 3.0, 0.25),
-    ("grabcut", "--gamma", "grabcut.gamma", "7.5", 7.5, 20.0),
+    ("grabcut", "--gamma", "grabcut.gamma", "7.5", 7.5, 20),
     ("grabcut", "--components", "grabcut.components_k", "2", 2, 3),
     ("grabcut", "--iters", "grabcut.iterations", "9", 9, 2),
     ("grabcut", "--erode", "grabcut.erode_radius", "1", 1, 4),
@@ -95,7 +96,7 @@ CONFIG_FLAGS = [
     ("grabcut", "--seed", "rng_seed", "9", 9, 4),
     ("eval", "--classes", "classes", "1,3", [1, 3], [2]),
     ("eval", "--tolerance", "metric_tolerance", "2", 2, 5),
-    ("pipeline", "--expand", "expand_ratio", "0.5", 0.5, 0.1),
+    ("pipeline", "--expand", "expand_ratio", "0.5", 0.5, 0),
     ("pipeline", "--refine-classes", "grabcut.classes", "1,2", [1, 2], [3]),
     ("pipeline", "--classes", "classes", "4", [4], [1, 2]),
     ("pipeline", "--tolerance", "metric_tolerance", "3", 3, 1),
@@ -183,6 +184,15 @@ def test_mistyped_setting_is_exit_2(capsys, tmp_path, doc, path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: config.{path} must be ")
     assert "Traceback" not in err
+
+
+def test_mistyped_config_value_is_rejected_even_where_a_flag_wins(capsys, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text('{"grabcut": {"gamma": "abc"}}')
+    argv = ["--config", str(config), "--print-config", *REQUIRED["grabcut"], "--gamma", "7.5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config.grabcut.gamma must be a finite number")
 
 
 def test_null_defaults_may_be_set_and_reset(capsys, tmp_path):

@@ -2,11 +2,14 @@
 
 Global flags (given before the subcommand): ``--config c.json`` merges a
 JSON document over the built-in defaults, ``--seed S`` overrides the config
-seed, ``--jobs N`` sizes the pipeline worker pool, and ``--print-config``
-prints the effective configuration as JSON and exits. A subcommand flag
-that shadows a config key has the key's dotted path as its dest (``--gamma``:
-``grabcut.gamma``); the flags given are merged over the config as the config
-is merged over the defaults, so handlers read every setting from ``cfg``.
+seed, ``--jobs N`` runs pipeline frames in up to N worker processes, and
+``--print-config`` prints the effective configuration as JSON and exits.
+Workers start by fork, at most one per frame, and the output bytes are the
+same for any N; where fork is unavailable, frames run one by one in this
+process. A subcommand flag that shadows a config key has the key's dotted
+path as its dest (``--gamma``: ``grabcut.gamma``); the flags given are merged
+over the config as the config is merged over the defaults, so handlers read
+every setting from ``cfg``.
 
 Exit codes: 0 on success, 2 on malformed input of any kind (bad files, bad
 flags, unknown config keys), 1 on an internal error. No subcommand writes a
@@ -23,7 +26,6 @@ import os
 import sys
 import traceback
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,10 @@ from .tensorio import (
     write_logits,
     write_rgb_image,
 )
+
+# bench/spans.py rebinds this name to time the wait on a thread pool; the
+# pipeline runs its frames in worker processes and has no thread pool
+ThreadPoolExecutor = None
 
 DEFAULT_CONFIG = {
     "swap_pairs": [],
@@ -263,9 +269,9 @@ def _cmd_augment(cfg, args) -> int:
 
 
 def _cmd_grabcut(cfg, args) -> int:
+    params = _grabcut_params(cfg, cfg["rng_seed"])
     image = read_rgb_image(args.image)
     labels = read_label_map(args.labels)
-    params = _grabcut_params(cfg, cfg["rng_seed"])
     out, trace = _refine_class_with_trace(labels, image, args.class_id, params)
     write_label_map(out, args.out)
     if args.energy_trace is not None:
@@ -386,6 +392,15 @@ def _pipeline_frame(cfg, args, idx: int, stem: str, boxes: list[Box]):
     return canvas, gt
 
 
+def _pipeline_task(task):
+    """One frame of ``pipeline``, at module level so that a worker process can run it."""
+    cfg, args, idx, stem, boxes = task
+    try:
+        return _pipeline_frame(cfg, args, idx, stem, boxes)
+    except ToolkitError as exc:
+        raise type(exc)(f"frame {stem}: {exc}") from exc
+
+
 def _cmd_pipeline(cfg, args) -> int:
     _grabcut_params(cfg, cfg["rng_seed"])  # checks the settings even if no frame refines
     stems = [Path(n).stem for n in _list_frames(args.images, ".ppm")]
@@ -394,20 +409,22 @@ def _cmd_pipeline(cfg, args) -> int:
         if stem not in all_boxes:
             raise ToolkitError(f"{args.boxes}: no box for frame {stem!r}")
 
-    jobs = args.jobs or os.cpu_count() or 1
-
-    def work(item):
-        idx, stem = item
-        try:
-            return _pipeline_frame(cfg, args, idx, stem, all_boxes[stem])
-        except ToolkitError as exc:
-            raise type(exc)(f"frame {stem}: {exc}") from exc
-
+    tasks = [(cfg, args, idx, stem, all_boxes[stem]) for idx, stem in enumerate(stems)]
+    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
+    context = None
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, enumerate(stems)))
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    if context is None:
+        results = [_pipeline_task(task) for task in tasks]
     else:
-        results = [work(item) for item in enumerate(stems)]
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a fork-context pool starts all its workers at once, hence at most one per frame
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            results = list(pool.map(_pipeline_task, tasks))
 
     preds = [r[0] for r in results]
     payload = _report_json(cfg, preds, [r[1] for r in results])
@@ -444,7 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="c.json", help="JSON config merged over defaults")
     parser.add_argument("--seed", type=int, dest="rng_seed", help="override the config rng seed")
     parser.add_argument(
-        "--jobs", type=_positive_int, help="pipeline worker threads, >= 1 (default: CPU count)"
+        "--jobs",
+        type=_positive_int,
+        help="pipeline worker processes, >= 1, forked, at most one per frame; "
+        "output bytes are the same for any value (default: CPU count)",
     )
     parser.add_argument(
         "--print-config",

@@ -47,6 +47,13 @@ COV_RIDGE = 1e-3
 
 _GMM_ROUNDS = 10  # refit rounds per GMM fit; assignment usually stabilizes sooner
 
+# most refinement rounds a caller may ask for; the energy trace holds one
+# entry per round asked for, even after the mask stops changing
+MAX_ITERATIONS = 100
+
+# node states of the min-cut reduction; _ABSENT pads rows of fewer neighbours
+_FREE, _SOURCE, _SINK, _ABSENT = 0, 1, 2, 3
+
 # 8-connectivity, one representative per undirected neighbor pair
 _DIRECTIONS = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.0)))
 
@@ -67,8 +74,8 @@ class GrabcutParams:
             raise InvalidRaster(f"components_k must be >= 1, got {self.components_k}")
         if not math.isfinite(self.gamma) or self.gamma < 0:
             raise InvalidRaster(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.iterations < 1:
-            raise InvalidRaster(f"iterations must be >= 1, got {self.iterations}")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise InvalidRaster(f"iterations must be in 1..{MAX_ITERATIONS}, got {self.iterations}")
         if self.erode_radius < 0 or self.dilate_radius < 0:
             raise InvalidRaster("trimap radii must be >= 0")
         if self.rng_seed < 0:
@@ -348,6 +355,78 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
     return flow, np.array(seen[:n], dtype=np.uint8)
 
 
+def _reduced_cut(graph: GridGraph) -> np.ndarray:
+    """``max_flow``'s cut side of every node, solving only the nodes left undecided.
+
+    Partial-optimality reduction (Kovtun 2003; Alahari, Kohli & Torr, CVPR
+    2008). A node fixed to one side turns each edge to a free neighbour into
+    capacity of that neighbour toward the same terminal. With S a free node's
+    total edge capacity to free nodes, and its terminal capacities counted
+    that way: if its source capacity exceeds its sink capacity plus S
+    (strictly), it is on the source side of every minimum cut; if its sink
+    capacity is at least its source capacity plus S, some minimum cut has it
+    on the sink side, so it is outside the minimal source set that
+    ``max_flow`` returns. A tie ``source == sink + S`` stays free for the
+    search. Fixing repeats over the free neighbours of the nodes just fixed.
+    Every sum is taken afresh over a node's edges, never kept by subtraction,
+    so S cannot drift low. ``max_flow`` then runs on the free nodes and the
+    edges between them; in exact arithmetic the sides equal its sides on the
+    whole graph.
+    """
+    n = graph.source_cap.shape[0]
+    edges = graph.edges.astype(np.int64)
+
+    # padded adjacency: row i holds i's neighbours (n where there is none)
+    # and the capacities of the edges to them
+    tail = np.concatenate([edges[:, 0], edges[:, 1]])
+    order = np.argsort(tail, kind="stable")
+    deg = np.bincount(tail, minlength=n)
+    slot = np.arange(order.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr = np.full((n, int(deg.max(initial=0))), n)
+    ncap = np.zeros(nbr.shape)
+    nbr[tail[order], slot] = np.concatenate([edges[:, 1], edges[:, 0]])[order]
+    ncap[tail[order], slot] = np.concatenate([graph.edge_cap, graph.edge_cap])[order]
+
+    state = np.full(n + 1, _FREE, dtype=np.int8)
+    state[n] = _ABSENT
+
+    def terminal_caps(nodes):
+        # per node, its edge capacity to neighbours in each state, in row order
+        key = 4 * np.arange(nodes.size)[:, None] + state[nbr[nodes]]
+        by_state = np.bincount(key.ravel(), ncap[nodes].ravel(), 4 * nodes.size).reshape(-1, 4)
+        return (
+            graph.source_cap[nodes] + by_state[:, _SOURCE],
+            graph.sink_cap[nodes] + by_state[:, _SINK],
+            by_state[:, _FREE],
+        )
+
+    work = np.arange(n)
+    while work.size:
+        src, snk, s = terminal_caps(work)
+        to_src = src > snk + s
+        to_snk = snk >= src + s
+        fixed = work[to_src | to_snk]
+        if not fixed.size:
+            break
+        state[work[to_src]] = _SOURCE
+        state[work[to_snk]] = _SINK
+        touched = np.zeros(n + 1, dtype=bool)
+        touched[nbr[fixed]] = True
+        work = np.flatnonzero(touched[:n] & (state[:n] == _FREE))
+
+    keep = np.flatnonzero(state[:n] == _FREE)
+    src, snk, _ = terminal_caps(keep)
+    index = np.full(n, -1)
+    index[keep] = np.arange(keep.size)
+    inner = (index[edges[:, 0]] >= 0) & (index[edges[:, 1]] >= 0)
+    _, cut = max_flow(
+        GridGraph(source_cap=src, sink_cap=snk, edges=index[edges[inner]], edge_cap=graph.edge_cap[inner])
+    )
+    side = (state[:n] == _SOURCE).astype(np.uint8)
+    side[keep] = cut
+    return side
+
+
 # --- the refinement loop ---
 
 
@@ -411,6 +490,18 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     function of its input partition, so rounds stop after
     ``params.iterations`` or once a cut returns its input; the trace still
     holds one energy per iteration, the last repeated.
+
+    Before each cut, ambiguous pixels whose side is already decided are
+    fixed, and the search runs on the rest only. With S a pixel's total
+    smoothness weight to the pixels still free, it joins the foreground when
+    its foreground capacity exceeds its background capacity plus S
+    (strictly), and the background when its background capacity is at least
+    its foreground capacity plus S. A fixed pixel's weights to free
+    neighbours then count toward the side it joined, and its neighbours are
+    tested again. In exact arithmetic the cut is the one the search on all
+    ambiguous pixels would return, its minimal foreground; where several
+    cuts have the same energy, as on a frame of one colour, rounding may
+    pick another of them.
     """
     if params is None:
         params = GrabcutParams()
@@ -480,9 +571,7 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
             shift = np.minimum(src, snk)  # same constant on both terminals of a
             src = src - shift  # pixel moves every cut equally; keeps caps >= 0
             snk = snk - shift
-            _, side = max_flow(
-                GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap)
-            )
+            side = _reduced_cut(GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap))
             cut[probable] = side.astype(bool)
         trace.append(_labeling_energy(cut, data_fg, data_bg, weights))
         if (cut == alpha).all():

@@ -13,7 +13,7 @@ import pytest
 
 import helpers
 import eaparse as ea
-from eaparse import cli
+from eaparse import cli, grabcut
 from eaparse.cli import main
 
 
@@ -553,6 +553,30 @@ def test_grabcut_rejects_bad_params(capsys, tmp_path, extra):
     assert not (tmp_path / "o.pgm").exists()
 
 
+def _forbid_refinement(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("grabcut_refine ran")
+
+    monkeypatch.setattr(grabcut, "grabcut_refine", refuse)
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_grabcut_rejects_too_many_iterations_before_any_work(capsys, tmp_path, monkeypatch, route):
+    _forbid_refinement(monkeypatch)
+    too_many = grabcut.MAX_ITERATIONS + 1
+    argv = _grabcut_argv(tmp_path)
+    if route == "flag":
+        argv += ["--iters", str(too_many)]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text('{"grabcut": {"iterations": %d}}' % too_many)
+        argv = ["--config", str(config)] + argv
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: iterations must be in 1..{grabcut.MAX_ITERATIONS}, got {too_many}\n"
+    assert not (tmp_path / "o.pgm").exists()
+
+
 def _grabcut_absent_class(capsys, tmp_path, *extra):
     image, _, init = helpers.disk_scene()
     ea.write_rgb_image(image, tmp_path / "i.ppm")
@@ -941,6 +965,88 @@ def test_pipeline_rejects_bad_settings(capsys, tmp_path, extra):
     assert not (tmp_path / "out").exists()
 
 
+def test_pipeline_rejects_too_many_iterations_before_any_work(capsys, tmp_path, monkeypatch):
+    _forbid_refinement(monkeypatch)
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
+    config = tmp_path / "c.json"
+    config.write_text('{"grabcut": {"iterations": 1000000000}}')
+    code, _, err = run(capsys, "--config", str(config), *_pipeline_argv(paths, tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: iterations must be in 1..{grabcut.MAX_ITERATIONS}, got 1000000000\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _pipeline_argv(paths, out_dir) -> list:
+    argv = ["pipeline", "--images", str(paths["images"]), "--boxes", str(paths["boxes"])]
+    argv += ["--logits-dir", str(paths["clean"]), "--logits-dir", str(paths["degraded"])]
+    return argv + ["--gt-dir", str(paths["gt"]), "--out-dir", str(out_dir), "--refine-classes", "1"]
+
+
+def test_pipeline_frame_error_is_the_same_for_any_jobs(capsys, tmp_path):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    member = paths["degraded"] / "001__0.fplt"
+    member.write_bytes(member.read_bytes()[:-5])
+    errors = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        code, _, err = run(capsys, "--jobs", jobs, *_pipeline_argv(paths, out_dir))
+        assert code == 2
+        assert err.startswith("error: frame 001: ") and "Traceback" not in err
+        assert not out_dir.exists()
+        errors.append(err.replace(str(out_dir), "OUT"))
+    assert errors[0] == errors[1]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records how it was built, maps in-process."""
+
+    built: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.built.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pipeline_pool_has_at_most_one_worker_per_frame(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    code, _, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, tmp_path / "serial"))
+    assert code == 0, err
+    monkeypatch.setattr(_InlinePool, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    code, _, err = run(capsys, "--jobs", "64", *_pipeline_argv(paths, tmp_path / "pooled"))
+    assert code == 0, err
+    assert _InlinePool.built == [(3, "fork")]
+    for name in ("000.pgm", "001.pgm", "002.pgm", "report.json"):
+        assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_pipeline_runs_frames_in_turn_without_fork(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    code, _, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, tmp_path / "serial"))
+    assert code == 0, err
+    monkeypatch.setattr(_InlinePool, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    code, _, err = run(capsys, "--jobs", "2", *_pipeline_argv(paths, tmp_path / "plain"))
+    assert code == 0, err
+    assert _InlinePool.built == []
+    for name in ("000.pgm", "001.pgm", "report.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_pipeline_rejects_jobs_below_one(capsys, tmp_path, jobs):
     paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
@@ -969,7 +1075,8 @@ def test_pipeline_rejects_jobs_below_one(capsys, tmp_path, jobs):
 
 
 def test_pipeline_runtime_does_not_import_scipy_or_numba(tmp_path):
-    # a fresh interpreter, so no other test's imports leak into sys.modules
+    # a fresh interpreter, so no other test's imports leak into sys.modules;
+    # at --jobs 1 the worker pool's modules stay unloaded too
     paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
     argv = ["--jobs", "1", "pipeline", "--images", str(paths["images"])]
     argv += ["--boxes", str(paths["boxes"]), "--logits-dir", str(paths["degraded"])]
@@ -978,7 +1085,7 @@ def test_pipeline_runtime_does_not_import_scipy_or_numba(tmp_path):
     script = (
         "import json, sys; from eaparse.cli import main; code = main(json.loads(sys.argv[1])); "
         "print(json.dumps([code, sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'numba'))]))"
+        "if m.split('.')[0] in ('scipy', 'numba', 'concurrent', 'multiprocessing'))]))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

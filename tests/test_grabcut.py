@@ -191,25 +191,30 @@ def test_max_flow_matches_enumeration_on_seeded_grids():
         assert helpers.cut_value(g, side) == flow
 
 
+def _grid_edges(h: int, w: int) -> np.ndarray:
+    """Every 8-neighbour pair of an h x w grid, nodes numbered row by row."""
+    idx = np.arange(h * w).reshape(h, w)
+    return np.concatenate(
+        [
+            np.stack(
+                [
+                    idx[: h - dr, max(0, -dc) : w - max(0, dc)].ravel(),
+                    idx[dr:, max(0, dc) : w - max(0, -dc)].ravel(),
+                ],
+                axis=1,
+            )
+            for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1))
+        ]
+    )
+
+
 def _oracle_grid_graphs():
     """Seeded 8-connected grids up to 40x40, some with dropped edges, some with
     capacities spread over 1e-9..1e9 so that residuals hit exactly 0.0 late."""
     rng = np.random.default_rng(5)
     for case in range(40):
         h, w = int(rng.integers(1, 41)), int(rng.integers(1, 41))
-        idx = np.arange(h * w).reshape(h, w)
-        edges = np.concatenate(
-            [
-                np.stack(
-                    [
-                        idx[: h - dr, max(0, -dc) : w - max(0, dc)].ravel(),
-                        idx[dr:, max(0, dc) : w - max(0, -dc)].ravel(),
-                    ],
-                    axis=1,
-                )
-                for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1))
-            ]
-        )
+        edges = _grid_edges(h, w)
         if case % 2:
             edges = edges[rng.random(len(edges)) < 0.7]
         n, m = h * w, len(edges)
@@ -227,6 +232,72 @@ def test_max_flow_matches_list_dinic_oracle():
         assert flow == want_flow
         assert side.dtype == want_side.dtype
         assert side.tobytes() == want_side.tobytes()
+
+
+def _reduction_grids():
+    """Seeded 8-connected grids up to 40x40 in four kinds, cycling: capacities
+    log-uniform over 1e-9..1e9; floats with ~30 % zero terminal links; small
+    integers where ~30 % of nodes have source == sink + S and ~30 % sink ==
+    source + S exactly (S: the node's summed edge capacity); and GrabCut's
+    shape, one terminal link zero per node."""
+    rng = np.random.default_rng(11)
+    for case in range(48):
+        h, w = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+        edges = _grid_edges(h, w)
+        if case % 3 == 1:
+            edges = edges[rng.random(len(edges)) < 0.7]
+        n, m = h * w, len(edges)
+        kind = case % 4
+        if kind == 0:
+            src, snk, cap = (10.0 ** rng.uniform(-9, 9, size) for size in (n, n, m))
+        elif kind == 1:
+            src, snk, cap = rng.random(n) * 10, rng.random(n) * 10, rng.random(m) * 3
+            src[rng.random(n) < 0.3] = 0.0
+            snk[rng.random(n) < 0.3] = 0.0
+        elif kind == 2:
+            src, snk = (rng.integers(0, 6, n).astype(np.float64) for _ in range(2))
+            cap = rng.integers(0, 3, m).astype(np.float64)
+            s = np.bincount(edges[:, 0], cap, n) + np.bincount(edges[:, 1], cap, n)
+            pick = rng.random(n)
+            src[pick < 0.3] = snk[pick < 0.3] + s[pick < 0.3]
+            snk[pick > 0.7] = src[pick > 0.7] + s[pick > 0.7]
+        else:
+            a, b = rng.random(n) * 20, rng.random(n) * 20
+            src, snk, cap = a - np.minimum(a, b), b - np.minimum(a, b), rng.random(m) * 2
+        yield GridGraph(src, snk, edges, cap)
+
+
+def test_reduced_cut_matches_max_flow_on_the_whole_graph(monkeypatch):
+    calls = _count_max_flow(monkeypatch)
+    nodes = fixed = 0
+    for g in _reduction_grids():
+        calls.clear()
+        side = grabcut._reduced_cut(g)
+        want = max_flow(g)[1]
+        assert side.dtype == want.dtype
+        assert side.tobytes() == want.tobytes()
+        nodes += len(g.source_cap)
+        fixed += len(g.source_cap) - len(calls[0].source_cap)
+    assert fixed > nodes // 4  # the reduction does fix nodes
+
+
+def _tied_path(source_ties: bool) -> GridGraph:
+    """A 6-node path where every node has source == sink + S (or the mirror)."""
+    edges = np.array([[i, i + 1] for i in range(5)])
+    cap = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
+    s = np.bincount(edges[:, 0], cap, 6) + np.bincount(edges[:, 1], cap, 6)
+    base = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0])
+    return GridGraph(base + s, base, edges, cap) if source_ties else GridGraph(base, base + s, edges, cap)
+
+
+def test_reduction_leaves_source_ties_free_and_fixes_sink_ties(monkeypatch):
+    calls = _count_max_flow(monkeypatch)
+    for source_ties, searched in ((True, 6), (False, 0)):
+        calls.clear()
+        g = _tied_path(source_ties)
+        side = grabcut._reduced_cut(g)
+        assert len(calls[0].source_cap) == searched
+        assert side.tobytes() == max_flow(g)[1].tobytes()
 
 
 def test_graph_validation_errors():
@@ -316,6 +387,16 @@ def test_refine_scores_each_mixture_once_per_round(monkeypatch):
         assert set(scored) == {mask.size}  # the whole frame, once per model
 
 
+def test_refine_searches_fewer_nodes_than_the_probable_band(monkeypatch):
+    image, _, init = helpers.disk_scene()
+    params = ea.GrabcutParams(rng_seed=3)
+    band = int(build_trimap(init, params).probable().sum())
+    calls = _count_max_flow(monkeypatch)
+    ea.grabcut_refine(image, init, params)
+    assert calls
+    assert all(len(g.source_cap) < band for g in calls)
+
+
 def test_refine_runs_every_round_while_partition_changes(monkeypatch):
     image, init = helpers.ramp_scene(8)
     kw = dict(rng_seed=8, gamma=1.0, components_k=3, erode_radius=2, dilate_radius=8)
@@ -362,8 +443,10 @@ def test_refine_shape_mismatch():
 def test_params_validation():
     with pytest.raises(InvalidRaster):
         ea.GrabcutParams(components_k=0)
-    with pytest.raises(InvalidRaster):
-        ea.GrabcutParams(iterations=0)
+    for iterations in (0, grabcut.MAX_ITERATIONS + 1, 10**9):
+        with pytest.raises(InvalidRaster, match=f"iterations must be in 1..{grabcut.MAX_ITERATIONS}"):
+            ea.GrabcutParams(iterations=iterations)
+    assert ea.GrabcutParams(iterations=grabcut.MAX_ITERATIONS).iterations == grabcut.MAX_ITERATIONS
     with pytest.raises(InvalidRaster):
         ea.GrabcutParams(gamma=-1.0)
     for gamma in (float("nan"), float("inf")):

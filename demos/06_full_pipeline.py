@@ -1,7 +1,8 @@
 """The eaparse executable end to end: boxes, ensembling, refinement, scoring.
 
-Builds a tiny 3-frame clip on disk, then drives the ``pipeline`` subcommand
-exactly as a shell user would.
+Builds a tiny 3-frame clip in a temporary directory, then drives the
+``pipeline`` subcommand exactly as a shell user would. The directory is
+removed on exit.
 """
 
 import json
@@ -13,10 +14,6 @@ from pathlib import Path
 import numpy as np
 
 import eaparse as ea
-
-work = Path(tempfile.mkdtemp(prefix="eaparse_demo_"))
-for sub in ("images", "gt", "clean", "degraded"):
-    (work / sub).mkdir()
 
 # each frame: a red disk on blue, ground truth = the disk, one detector box
 yy, xx = np.mgrid[0:32, 0:32]
@@ -32,27 +29,30 @@ def logits_for(mask, strength):
     return out
 
 
-lines = []
-for i in range(3):
-    stem = f"{i:03d}"
-    image = np.zeros((32, 32, 3), dtype=np.uint8)
-    image[:] = (20, 30, 200)
-    image[disk == 1] = (210, 40, 35)
-    ea.write_rgb_image(image, work / "images" / f"{stem}.ppm")
-    ea.write_label_map(disk, work / "gt" / f"{stem}.pgm")
+def write_clip(work):
+    for sub in ("images", "gt", "clean", "degraded"):
+        (work / sub).mkdir()
+    lines = []
+    for i in range(3):
+        stem = f"{i:03d}"
+        image = np.zeros((32, 32, 3), dtype=np.uint8)
+        image[:] = (20, 30, 200)
+        image[disk == 1] = (210, 40, 35)
+        ea.write_rgb_image(image, work / "images" / f"{stem}.ppm")
+        ea.write_label_map(disk, work / "gt" / f"{stem}.pgm")
 
-    # two "models" emit logits for the padded box crop: one clean and sure,
-    # one that lost a 6x6 patch and is less confident
-    crop = disk[roi.y0 : roi.y1, roi.x0 : roi.x1]
-    ea.write_logits(logits_for(crop, 4.0), work / "clean" / f"{stem}__0.fplt")
-    holed = crop.copy()
-    holed[12:18, 12:18] = 0
-    ea.write_logits(logits_for(holed, 2.0), work / "degraded" / f"{stem}__0.fplt")
-    lines.append(json.dumps({"frame": stem, "box": [4, 4, 28, 28]}))
-(work / "boxes.jsonl").write_text("\n".join(lines) + "\n")
+        # two "models" emit logits for the padded box crop: one clean and sure,
+        # one that lost a 6x6 patch and is less confident
+        crop = disk[roi.y0 : roi.y1, roi.x0 : roi.x1]
+        ea.write_logits(logits_for(crop, 4.0), work / "clean" / f"{stem}__0.fplt")
+        holed = crop.copy()
+        holed[12:18, 12:18] = 0
+        ea.write_logits(logits_for(holed, 2.0), work / "degraded" / f"{stem}__0.fplt")
+        lines.append(json.dumps({"frame": stem, "box": [4, 4, 28, 28]}))
+    (work / "boxes.jsonl").write_text("\n".join(lines) + "\n")
 
 
-def pipeline(out, members, refine):
+def pipeline(work, out, members, refine):
     cmd = [sys.executable, "-m", "eaparse", "--jobs", "2", "pipeline"]
     cmd += ["--images", str(work / "images"), "--boxes", str(work / "boxes.jsonl")]
     for m in members:
@@ -65,7 +65,10 @@ def pipeline(out, members, refine):
     return report["J_and_F"]
 
 
-print("degraded model alone:   J&F =", round(pipeline("solo", ["degraded"], False), 4))
-print("+ clean ensemble member: J&F =", round(pipeline("duo", ["clean", "degraded"], False), 4))
-print("+ grabcut refinement:    J&F =", round(pipeline("full", ["clean", "degraded"], True), 4))
-print("\noutputs in", work)
+with tempfile.TemporaryDirectory(prefix="eaparse_demo_") as tmp:
+    work = Path(tmp)
+    write_clip(work)
+    print("degraded model alone:   J&F =", round(pipeline(work, "solo", ["degraded"], False), 4))
+    print("+ clean ensemble member: J&F =", round(pipeline(work, "duo", ["clean", "degraded"], False), 4))
+    print("+ grabcut refinement:    J&F =", round(pipeline(work, "full", ["clean", "degraded"], True), 4))
+    print("\nfiles written by the last run:", " ".join(sorted(p.name for p in (work / "full").iterdir())))

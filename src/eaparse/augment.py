@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabelOutOfRange, ShapeMismatch, TooSmall
+from .errors import InvalidChoice, LabelOutOfRange, ShapeMismatch, TooSmall
 from .tensorio import ensure_label_map, ensure_rgb_image
 
 
@@ -89,7 +89,7 @@ def rotate_quarter(image, labels, quarters: int):
     values are mutual inverses.
     """
     if quarters not in (1, 3):
-        raise ValueError(f"quarters must be 1 or 3, got {quarters!r}")
+        raise InvalidChoice(f"quarters must be 1 or 3, got {quarters!r}")
     img, lab = _check_pair(image, labels)
     return (
         np.rot90(img, k=-quarters, axes=(0, 1)).copy(),
@@ -117,4 +117,4 @@ def cut_half(image, labels, side: str):
             raise TooSmall(f"height {h} too small to cut in half")
         rows = slice(0, h // 2) if side == "top" else slice((h + 1) // 2, h)
         return img[rows, :].copy(), lab[rows, :].copy()
-    raise ValueError(f"side must be left/right/top/bottom, got {side!r}")
+    raise InvalidChoice(f"side must be left/right/top/bottom, got {side!r}")

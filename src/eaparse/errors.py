@@ -69,6 +69,10 @@ class TooSmall(ToolkitError):
     """A raster is too small for the requested cut."""
 
 
+class InvalidChoice(ToolkitError):
+    """An argument is not one of the values the operation accepts."""
+
+
 # --- file format errors (tensorio) ---
 
 

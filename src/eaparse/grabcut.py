@@ -5,8 +5,10 @@ belong to it. Refinement recovers such parts from the image alone: seed a
 trimap from the initial mask, model foreground and background colors with
 one Gaussian mixture each, connect ambiguous pixels in an 8-neighbor grid
 with contrast-sensitive smoothness weights, and let a minimum s-t cut decide
-which side each ambiguous pixel joins. Alternating model refits with cuts
-drives the labeling energy downhill.
+which side each ambiguous pixel joins, and alternate model refits with cuts.
+Each cut minimizes the labeling energy for its round's models; a refit
+starts afresh from a seeded k-means++ and need not lower the energy, so the
+energy can rise between rounds.
 
 Everything here is deterministic: mixture fitting is seeded, the solver
 visits arcs in a fixed order, and a rerun with identical inputs produces a
@@ -355,7 +357,22 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
     return flow, np.array(seen[:n], dtype=np.uint8)
 
 
-def _reduced_cut(graph: GridGraph) -> np.ndarray:
+def _neighbour_table(n: int, edges: np.ndarray, edge_cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded adjacency of n nodes: row i holds i's neighbours (n where there
+    is none) and the capacities of the edges to them, in the order of ``edges``."""
+    edges = edges.astype(np.int64)
+    tail = np.concatenate([edges[:, 0], edges[:, 1]])
+    order = np.argsort(tail, kind="stable")
+    deg = np.bincount(tail, minlength=n)
+    slot = np.arange(order.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr = np.full((n, int(deg.max(initial=0))), n)
+    ncap = np.zeros(nbr.shape)
+    nbr[tail[order], slot] = np.concatenate([edges[:, 1], edges[:, 0]])[order]
+    ncap[tail[order], slot] = np.concatenate([edge_cap, edge_cap])[order]
+    return nbr, ncap
+
+
+def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """``max_flow``'s cut side of every node, solving only the nodes left undecided.
 
     Partial-optimality reduction (Kovtun 2003; Alahari, Kohli & Torr, CVPR
@@ -371,21 +388,12 @@ def _reduced_cut(graph: GridGraph) -> np.ndarray:
     Every sum is taken afresh over a node's edges, never kept by subtraction,
     so S cannot drift low. ``max_flow`` then runs on the free nodes and the
     edges between them; in exact arithmetic the sides equal its sides on the
-    whole graph.
+    whole graph. ``table`` is the graph's ``_neighbour_table``, for callers
+    that cut graphs of one topology many times; it is built here when omitted.
     """
     n = graph.source_cap.shape[0]
     edges = graph.edges.astype(np.int64)
-
-    # padded adjacency: row i holds i's neighbours (n where there is none)
-    # and the capacities of the edges to them
-    tail = np.concatenate([edges[:, 0], edges[:, 1]])
-    order = np.argsort(tail, kind="stable")
-    deg = np.bincount(tail, minlength=n)
-    slot = np.arange(order.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    nbr = np.full((n, int(deg.max(initial=0))), n)
-    ncap = np.zeros(nbr.shape)
-    nbr[tail[order], slot] = np.concatenate([edges[:, 1], edges[:, 0]])[order]
-    ncap[tail[order], slot] = np.concatenate([graph.edge_cap, graph.edge_cap])[order]
+    nbr, ncap = _neighbour_table(n, edges, graph.edge_cap) if table is None else table
 
     state = np.full(n + 1, _FREE, dtype=np.int8)
     state[n] = _ABSENT
@@ -478,18 +486,43 @@ def _labeling_energy(
     return energy
 
 
+def _window(mask: np.ndarray, margin: int) -> tuple[slice, slice]:
+    """The mask's bounding box grown by ``margin`` on each side, clipped to
+    the frame; the whole frame for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if not rows.size:
+        return slice(None), slice(None)
+    h, w = mask.shape
+    return (
+        slice(max(0, int(rows[0]) - margin), min(h, int(rows[-1]) + 1 + margin)),
+        slice(max(0, int(cols[0]) - margin), min(w, int(cols[-1]) + 1 + margin)),
+    )
+
+
 def grabcut_refine(image, init, params: GrabcutParams | None = None):
     """Refine a binary mask against its image; returns (mask, energy_trace).
 
+    All work happens in a window: the init mask's bounding box grown by
+    ``2 * dilate_radius + 1`` pixels on each side and clipped to the frame.
+    Every ambiguous pixel and its 8 neighbours lie inside it, and so does a
+    ring of definite background at least ``dilate_radius + 1`` wide around
+    the dilated envelope, except where the window meets the frame edge. The
+    trimap built on the window equals the full-frame trimap cut to it, and
+    pixels outside the window come back 0. The background mixture, the
+    contrast constant beta and the labeling energy are local to the window;
+    the foreground mixture sees the same pixels as on the whole frame.
+
     Alternates seeded GMM refits with min-cuts, recording the labeling energy
-    after each cut. Each round scores every pixel once per model, as the
-    capped -log likelihood; that one data term per model gives both the
-    t-link capacities and the energy. Definite trimap pixels never change
-    side, so the result always contains the eroded core and never touches
-    pixels far outside the dilated envelope. A round is a deterministic
-    function of its input partition, so rounds stop after
-    ``params.iterations`` or once a cut returns its input; the trace still
-    holds one energy per iteration, the last repeated.
+    after each cut. Each round scores every window pixel once per model, as
+    the capped -log likelihood; that one data term per model gives both the
+    t-link capacities and the energy. Each cut minimizes the energy for its
+    round's models, but a refit can raise it, so the trace need not fall.
+    Definite trimap pixels never change side, so the result always contains
+    the eroded core and never touches pixels far outside the dilated
+    envelope. A round is a deterministic function of its input partition,
+    so rounds stop after ``params.iterations`` or once a cut returns its
+    input; the trace still holds one energy per iteration, the last repeated.
 
     Before each cut, ambiguous pixels whose side is already decided are
     fixed, and the search runs on the rest only. With S a pixel's total
@@ -510,13 +543,15 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     if img.shape[:2] != mask.shape:
         raise ShapeMismatch(f"image {img.shape[:2]} and mask {mask.shape} differ")
 
-    trimap = build_trimap(mask, params)
-    z = img.astype(np.float64)
+    window = _window(mask, 2 * params.dilate_radius + 1)
+    crop = mask[window]
+    trimap = build_trimap(crop, params)
+    z = img[window].astype(np.float64)
     weights = _pairwise_weights(z, params.gamma)
 
     probable = trimap.probable()
     def_fg = trimap.definite_fg()
-    node_of = np.full(mask.shape, -1, dtype=np.int64)
+    node_of = np.full(crop.shape, -1, dtype=np.int64)
     node_of[probable] = np.arange(int(probable.sum()))
     n_nodes = int(probable.sum())
 
@@ -529,7 +564,7 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     fold_fg = np.zeros(n_nodes)  # smoothness toward pixels pinned to FG
     fold_bg = np.zeros(n_nodes)  # smoothness toward pixels pinned to BG
     for dr, dc, w in weights:
-        (r0, c0), (r1, c1) = _pair_index(mask.shape, dr, dc)
+        (r0, c0), (r1, c1) = _pair_index(crop.shape, dr, dc)
         p_prob = probable[r0, c0]
         q_prob = probable[r1, c1]
         both = p_prob & q_prob
@@ -546,8 +581,9 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
             np.add.at(fold_bg, nodes[~pinned_fg], w[a_prob][~pinned_fg])
     edges = np.concatenate([np.stack([u, v], axis=1) for u, v, _ in prob_edges]) if n_nodes else np.zeros((0, 2), dtype=np.int64)
     edge_cap = np.concatenate([c for _, _, c in prob_edges]) if n_nodes else np.zeros(0)
+    table = _neighbour_table(n_nodes, edges, edge_cap)
 
-    alpha = mask.astype(bool)
+    alpha = crop.astype(bool)
     fg_gmm = bg_gmm = None
     flat = z.reshape(-1, 3)
     prob_flat = probable.reshape(-1)
@@ -571,7 +607,7 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
             shift = np.minimum(src, snk)  # same constant on both terminals of a
             src = src - shift  # pixel moves every cut equally; keeps caps >= 0
             snk = snk - shift
-            side = _reduced_cut(GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap))
+            side = _reduced_cut(GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap), table)
             cut[probable] = side.astype(bool)
         trace.append(_labeling_energy(cut, data_fg, data_bg, weights))
         if (cut == alpha).all():
@@ -579,7 +615,9 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
         alpha = cut
 
     trace += trace[-1:] * (params.iterations - len(trace))
-    return alpha.astype(np.uint8), trace
+    refined = np.zeros(mask.shape, dtype=np.uint8)
+    refined[window] = alpha
+    return refined, trace
 
 
 def _refine_class_with_trace(labels, image, class_id: int, params: GrabcutParams | None):

@@ -55,8 +55,8 @@ def test_rotate_four_times_is_identity():
 
 def test_rotate_rejects_other_quarter_counts():
     img, lab = _pair(np.random.default_rng(2), 2, 2)
-    for q in (0, 2, 4, -1):
-        with pytest.raises(ValueError):
+    for q in (0, 2, 4, -1, "1", None):
+        with pytest.raises(ea.InvalidChoice, match="quarters must be 1 or 3"):
             ea.rotate_quarter(img, lab, q)
 
 
@@ -94,6 +94,13 @@ def test_cut_half_rejects_tiny_dimension():
     img, lab = _pair(np.random.default_rng(5), 4, 1)
     with pytest.raises(TooSmall):
         ea.cut_half(img, lab, "left")
+
+
+def test_cut_half_rejects_other_sides():
+    img, lab = _pair(np.random.default_rng(6), 4, 4)
+    for side in ("", "LEFT", "middle", None, 0):
+        with pytest.raises(ea.InvalidChoice, match="side must be left/right/top/bottom"):
+            ea.cut_half(img, lab, side)
 
 
 def test_swap_table_validation():

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter, with nothing on stderr."""
+"""Every demo script runs to completion in a fresh interpreter, with nothing
+on stderr, and leaves no scratch directory behind."""
 
 import os
 import subprocess
@@ -25,3 +26,4 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert not list(tmp_path.glob("eaparse_demo_*"))

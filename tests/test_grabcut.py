@@ -417,6 +417,142 @@ def test_refine_respects_definite_regions():
     assert (refined[tm.definite_bg()] == 0).all()
 
 
+# --- the refinement window ---
+
+
+def _window_of(mask: np.ndarray, dilate_radius: int) -> tuple[slice, slice]:
+    """The mask's bounding box grown by 2 * dilate_radius + 1, clipped to the frame."""
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    m = 2 * dilate_radius + 1
+    return (
+        slice(max(0, rows[0] - m), rows[-1] + 1 + m),
+        slice(max(0, cols[0] - m), cols[-1] + 1 + m),
+    )
+
+
+def _outside(shape, win) -> np.ndarray:
+    out = np.ones(shape, dtype=bool)
+    out[win] = False
+    return out
+
+
+def _noise_canvas(rng, image, init, dilate_radius, shape, at):
+    """``image`` and ``init`` placed at ``at`` in a frame of ``shape`` whose
+    pixels outside the window (the scene's pixels there too) are noise."""
+    canvas = rng.integers(0, 256, shape + (3,), dtype=np.uint8)
+    mask = np.zeros(shape, dtype=np.uint8)
+    r, c = at
+    mask[r : r + init.shape[0], c : c + init.shape[1]] = init
+    win = _window_of(mask, dilate_radius)
+    placed = canvas.copy()
+    placed[r : r + init.shape[0], c : c + init.shape[1]] = image
+    canvas[win] = placed[win]
+    return canvas, mask, win
+
+
+def test_refine_ignores_pixels_outside_the_window():
+    image, _, init = helpers.disk_scene(noise_seed=4)
+    params = ea.GrabcutParams(rng_seed=3, erode_radius=2, dilate_radius=2)
+    win = _window_of(init, params.dilate_radius)
+    assert win[0].start > 0 and win[0].stop < init.shape[0]  # the window is inside the scene
+    want, want_trace = ea.grabcut_refine(image, init, params)
+    assert not want[_outside(want.shape, win)].any()
+    rng = np.random.default_rng(0)
+    for shape, at in (((96, 96), (40, 30)), ((64, 150), (0, 100)), ((40, 40), (3, 5))):
+        canvas, mask, cwin = _noise_canvas(rng, image, init, params.dilate_radius, shape, at)
+        got, trace = ea.grabcut_refine(canvas, mask, params)
+        r, c = at
+        assert (got[r : r + 32, c : c + 32] == want).all()
+        assert trace == want_trace
+        assert not got[_outside(shape, cwin)].any()
+
+
+@pytest.mark.parametrize("corner", [(0, 0), (0, 1), (1, 0), (1, 1), (0, None), (None, 1)])
+def test_refine_of_a_mask_on_the_frame_edge(corner):
+    scene = helpers.disk_scene(size=56, noise_seed=5)
+    # cut and flip the scene so that the disk (rows and columns 7..25)
+    # touches the chosen edges: 0 the first row or column, 1 the last
+    for axis, side in enumerate(corner):
+        if side is not None:
+            cut = (slice(None),) * axis + (slice(7, None),)
+            scene = [np.flip(a[cut], axis) if side else a[cut] for a in scene]
+    image, truth, init = scene
+    params = ea.GrabcutParams(rng_seed=3, erode_radius=2, dilate_radius=3)
+    win = _window_of(init, params.dilate_radius)
+    assert _outside(init.shape, win).any()
+    refined, trace = ea.grabcut_refine(image, init, params)
+    assert refined.shape == init.shape
+    assert ea.region_jaccard(refined, truth, 1) >= 0.99
+    tm = build_trimap(init, params)
+    assert (refined[tm.definite_fg()] == 1).all()
+    assert (refined[tm.definite_bg()] == 0).all()
+    # the frame cut to the window gives the same mask and energies
+    part, part_trace = ea.grabcut_refine(image[win], init[win], params)
+    assert (refined[win] == part).all()
+    assert part_trace == trace
+    # and noise beyond the window changes nothing
+    canvas = np.random.default_rng(1).integers(0, 256, image.shape, dtype=np.uint8)
+    canvas[win] = image[win]
+    again, again_trace = ea.grabcut_refine(canvas, init, params)
+    assert (again == refined).all() and again_trace == trace
+
+
+def test_background_fit_sees_only_the_window(monkeypatch):
+    fitted = []
+    fit = grabcut.fit_gmm
+
+    def spy(pixels, k, rng_seed, **kwargs):
+        fitted.append(len(pixels))
+        return fit(pixels, k, rng_seed, **kwargs)
+
+    monkeypatch.setattr(grabcut, "fit_gmm", spy)
+    image, _, init = helpers.disk_scene(noise_seed=6)
+    params = ea.GrabcutParams(rng_seed=3, dilate_radius=2)
+    canvas, mask, win = _noise_canvas(np.random.default_rng(2), image, init, params.dilate_radius, (120, 100), (50, 40))
+    ea.grabcut_refine(canvas, mask, params)
+    window_px = canvas[win].shape[0] * canvas[win].shape[1]
+    assert window_px * 3 < mask.size
+    assert len(fitted) >= 2 and len(fitted) % 2 == 0
+    assert all(n <= window_px for n in fitted)
+    assert all(n > int(mask.sum()) for n in fitted[1::2])  # the background fits, one per round
+
+
+def _random_masks():
+    """Seeded masks of 1..3 rectangles and disks, some on the border, with radii."""
+    rng = np.random.default_rng(21)
+    for case in range(80):
+        h, w = int(rng.integers(4, 40)), int(rng.integers(4, 40))
+        mask = np.zeros((h, w), dtype=np.uint8)
+        yy, xx = np.mgrid[0:h, 0:w]
+        for _ in range(int(rng.integers(1, 4))):
+            cy, cx = rng.integers(0, h), rng.integers(0, w)
+            if case % 4 == 0:  # pin the shape to an edge or a corner
+                cy = rng.choice([0, h - 1, cy])
+                cx = rng.choice([0, w - 1])
+            r = rng.uniform(0.5, 6)
+            if rng.random() < 0.5:
+                mask[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = 1
+            else:
+                mask[max(0, cy - int(r)) : cy + int(r) + 1, cx : cx + int(rng.integers(1, 8))] = 1
+        if mask.all():
+            mask[0, 0] = 0
+        erode = 0 if case % 3 == 0 else int(rng.integers(1, 6))
+        yield mask, ea.GrabcutParams(erode_radius=erode, dilate_radius=int(rng.integers(0, 7)))
+
+
+def test_trimap_on_the_window_equals_the_frame_trimap_cut_to_it():
+    on_border = small = 0
+    for mask, params in _random_masks():
+        win = _window_of(mask, params.dilate_radius)
+        full = build_trimap(mask, params).data
+        assert (build_trimap(mask[win], params).data == full[win]).all()
+        outside = _outside(mask.shape, win)
+        assert (full[outside] == TRIMAP_BG).all()
+        on_border += bool(mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any())
+        small += bool(outside.any())
+    assert on_border >= 20 and small >= 20
+
+
 def test_refine_class_relabels_only_its_class():
     image, truth, init = helpers.disk_scene()
     labels = init.copy()

@@ -45,7 +45,9 @@ from .segloss import (
     total_loss,
 )
 from .tensorio import (
-    _write_file,
+    _label_map_bytes,
+    _rgb_image_bytes,
+    _write_files,
     read_label_map,
     read_logits,
     read_rgb_image,
@@ -263,8 +265,10 @@ def _cmd_augment(cfg, args) -> int:
             raise ToolkitError("--side is required for --op cuthalf")
         out_image, out_labels = cut_half(image, labels, args.side)
 
-    write_rgb_image(out_image, f"{args.out_prefix}image.ppm")
-    write_label_map(out_labels, f"{args.out_prefix}labels.pgm")
+    _write_files([
+        (f"{args.out_prefix}image.ppm", _rgb_image_bytes(out_image)),
+        (f"{args.out_prefix}labels.pgm", _label_map_bytes(out_labels)),
+    ])
     return 0
 
 
@@ -273,9 +277,10 @@ def _cmd_grabcut(cfg, args) -> int:
     image = read_rgb_image(args.image)
     labels = read_label_map(args.labels)
     out, trace = _refine_class_with_trace(labels, image, args.class_id, params)
-    write_label_map(out, args.out)
+    outputs = [(args.out, _label_map_bytes(out))]
     if args.energy_trace is not None:
-        _write_file(args.energy_trace, (json.dumps(trace) + "\n").encode("utf-8"))
+        outputs.append((args.energy_trace, (json.dumps(trace) + "\n").encode("utf-8")))
+    _write_files(outputs)
     return 0
 
 
@@ -313,7 +318,7 @@ def _cmd_eval(cfg, args) -> int:
     names = _list_frames(args.pred_dir, ".pgm")
     preds = [read_label_map(Path(args.pred_dir) / n) for n in names]
     gts = [read_label_map(Path(args.gt_dir) / n) for n in names]
-    _write_file(args.out, _report_json(cfg, preds, gts))
+    _write_files([(args.out, _report_json(cfg, preds, gts))])
     return 0
 
 
@@ -336,9 +341,9 @@ def _cmd_roi(cfg, args) -> int:
 
 
 def _resolve_box(args) -> Box:
-    if args.box is not None:
+    if args.box is not None and args.boxes_jsonl is None and args.frame is None:
         return _parse_box(args.box)
-    if args.boxes_jsonl is None or args.frame is None:
+    if args.box is not None or args.boxes_jsonl is None or args.frame is None:
         raise ToolkitError("give either --box or both --boxes-jsonl and --frame")
     table = _read_boxes_jsonl(args.boxes_jsonl)
     if args.frame not in table:
@@ -432,9 +437,8 @@ def _cmd_pipeline(cfg, args) -> int:
     # all computation succeeded; only now touch the disk
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stem, pred in zip(stems, preds):
-        write_label_map(pred, out_dir / f"{stem}.pgm")
-    _write_file(out_dir / "report.json", payload)
+    outputs = [(out_dir / f"{stem}.pgm", _label_map_bytes(pred)) for stem, pred in zip(stems, preds)]
+    _write_files(outputs + [(out_dir / "report.json", payload)])
     return 0
 
 

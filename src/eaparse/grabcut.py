@@ -372,7 +372,7 @@ def _neighbour_table(n: int, edges: np.ndarray, edge_cap: np.ndarray) -> tuple[n
     return nbr, ncap
 
 
-def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _reduced_cut(graph: GridGraph, table=None, state=None) -> np.ndarray:
     """``max_flow``'s cut side of every node, solving only the nodes left undecided.
 
     Partial-optimality reduction (Kovtun 2003; Alahari, Kohli & Torr, CVPR
@@ -390,13 +390,17 @@ def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray] | None =
     edges between them; in exact arithmetic the sides equal its sides on the
     whole graph. ``table`` is the graph's ``_neighbour_table``, for callers
     that cut graphs of one topology many times; it is built here when omitted.
+
+    ``state`` gives each node's starting state: ``_FREE``, ``_SOURCE`` or
+    ``_SINK``, all free when omitted. A node that starts fixed keeps its
+    side, its own terminal capacities go unread, and its edges count toward
+    the terminal of its side; fixing starts from the nodes that start free.
     """
     n = graph.source_cap.shape[0]
     edges = graph.edges.astype(np.int64)
     nbr, ncap = _neighbour_table(n, edges, graph.edge_cap) if table is None else table
 
-    state = np.full(n + 1, _FREE, dtype=np.int8)
-    state[n] = _ABSENT
+    state = np.append(np.full(n, _FREE) if state is None else state, _ABSENT).astype(np.int8)
 
     def terminal_caps(nodes):
         # per node, its edge capacity to neighbours in each state, in row order
@@ -408,7 +412,7 @@ def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray] | None =
             by_state[:, _FREE],
         )
 
-    work = np.arange(n)
+    work = np.flatnonzero(state[:n] == _FREE)
     while work.size:
         src, snk, s = terminal_caps(work)
         to_src = src > snk + s
@@ -438,52 +442,69 @@ def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray] | None =
 # --- the refinement loop ---
 
 
-def _pairwise_weights(z: np.ndarray, gamma: float) -> list[tuple[int, int, np.ndarray]]:
-    """Contrast-sensitive smoothness weight arrays, one per direction.
+def _window_edges(z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every 8-neighbour pair of a window and its contrast-sensitive smoothness weight.
 
-    Weight between neighbors p, q is gamma * exp(-beta * ||z_p - z_q||^2)
-    divided by their distance, with beta = 1 / (2 * mean squared color
-    difference over all 8-neighbor pairs). A constant image makes that mean
-    zero; beta falls back to 0 and the weights become uniform gamma / dist.
+    ``edges`` (m, 2) holds the flat window indices of each pair, ordered by
+    direction and then row-major. The weight between neighbours p, q is
+    gamma * exp(-beta * ||z_p - z_q||^2) divided by their distance, with
+    beta = 1 / (2 * mean squared color difference over all pairs). A
+    constant image makes that mean zero; beta falls back to 0 and the
+    weights become uniform gamma / dist.
     """
-    diffs = []
+    h, w = z.shape[:2]
+    index = np.arange(h * w).reshape(h, w)
+    pairs, diffs = [], []
     for dr, dc, _ in _DIRECTIONS:
-        a = z[: z.shape[0] - dr, max(0, -dc) : z.shape[1] - max(0, dc)]
-        b = z[dr:, max(0, dc) : z.shape[1] - max(0, -dc)]
-        diffs.append(((a - b) ** 2).sum(axis=2))
-    total = sum(float(d.sum()) for d in diffs)
+        first = np.s_[: h - dr, max(0, -dc) : w - max(0, dc)]  # the first pixel of each pair
+        p = index[first].ravel()
+        pairs.append(np.stack([p, p + dr * w + dc], axis=1))
+        diffs.append(((z[first] - z[dr:, max(0, dc) : w - max(0, -dc)]) ** 2).sum(axis=2).ravel())
     count = sum(d.size for d in diffs)
-    mean_sq = total / count if count else 0.0
+    mean_sq = sum(float(d.sum()) for d in diffs) / count if count else 0.0
     beta = 0.0 if mean_sq == 0.0 else 1.0 / (2.0 * mean_sq)
-    return [
-        (dr, dc, gamma * np.exp(-beta * d) / dist)
-        for (dr, dc, dist), d in zip(_DIRECTIONS, diffs)
-    ]
+    weights = [gamma * np.exp(-beta * d) / dist for (_, _, dist), d in zip(_DIRECTIONS, diffs)]
+    return np.concatenate(pairs), np.concatenate(weights)
 
 
-def _pair_index(shape: tuple[int, int], dr: int, dc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col index grids of the two endpoints of every (dr, dc) pair."""
-    h, w = shape
-    rr, cc = np.meshgrid(
-        np.arange(h - dr), np.arange(max(0, -dc), w - max(0, dc)), indexing="ij"
-    )
-    return (rr, cc), (rr + dr, cc + dc)
-
-
-def _labeling_energy(
-    alpha: np.ndarray,
-    data_fg: np.ndarray,
-    data_bg: np.ndarray,
-    weights: list[tuple[int, int, np.ndarray]],
-) -> float:
-    """Gibbs energy of a labeling: data terms (one per pixel, flat) plus crossing weights."""
+def _labeling_energy(alpha, data_fg, data_bg, edges, edge_cap) -> float:
+    """Gibbs energy of a labeling: data terms (one per pixel, flat) plus crossing edge weights."""
     a = alpha.reshape(-1)
-    energy = float(data_fg[a].sum() + data_bg[~a].sum())
-    for dr, dc, w in weights:
-        (r0, c0), (r1, c1) = _pair_index(alpha.shape, dr, dc)
-        crossing = alpha[r0, c0] != alpha[r1, c1]
-        energy += float(w[crossing].sum())
-    return energy
+    crossing = a[edges[:, 0]] != a[edges[:, 1]]
+    return float(data_fg[a].sum() + data_bg[~a].sum()) + float(edge_cap[crossing].sum())
+
+
+def _ring_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray):
+    """The min-cut of a window's trimap, as a function of the round's data terms.
+
+    The nodes are the ambiguous pixels and every definite pixel that shares
+    an edge with one; edges between two definite pixels are dropped. The
+    definite pixels start fixed to their side in ``_reduced_cut``, so their
+    edges count toward the terminal of that side. The nodes, their edges and
+    the neighbour table are built once; the returned function maps the data
+    terms (flat over the window) to the window's foreground after the cut.
+    """
+    kept = trimap.probable().reshape(-1)[edges].any(axis=1)
+    ring = edges[kept]
+    on = np.bincount(ring.ravel(), minlength=trimap.data.size) > 0  # the window pixels that are nodes
+    nodes = np.flatnonzero(on)
+    node_edges, node_cap = (np.cumsum(on) - 1)[ring], edge_cap[kept]
+    table = _neighbour_table(nodes.size, node_edges, node_cap)
+    pixel = trimap.data.reshape(-1)[nodes]
+    state = np.select([pixel == TRIMAP_FG, pixel == TRIMAP_BG], [_SOURCE, _SINK], _FREE)
+    def_fg = trimap.definite_fg()
+
+    def cut(data_fg: np.ndarray, data_bg: np.ndarray) -> np.ndarray:
+        # source side = foreground: the link a cut severs is the one to the
+        # terminal the pixel does NOT join, hence the opposite model; the same
+        # constant on both terminals of a pixel moves every cut equally
+        shift = np.minimum(data_fg, data_bg)
+        graph = GridGraph((data_bg - shift)[nodes], (data_fg - shift)[nodes], node_edges, node_cap)
+        out = def_fg.copy()
+        out.reshape(-1)[nodes] = _reduced_cut(graph, table, state).astype(bool)
+        return out
+
+    return cut
 
 
 def _window(mask: np.ndarray, margin: int) -> tuple[slice, slice]:
@@ -524,17 +545,11 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     so rounds stop after ``params.iterations`` or once a cut returns its
     input; the trace still holds one energy per iteration, the last repeated.
 
-    Before each cut, ambiguous pixels whose side is already decided are
-    fixed, and the search runs on the rest only. With S a pixel's total
-    smoothness weight to the pixels still free, it joins the foreground when
-    its foreground capacity exceeds its background capacity plus S
-    (strictly), and the background when its background capacity is at least
-    its foreground capacity plus S. A fixed pixel's weights to free
-    neighbours then count toward the side it joined, and its neighbours are
-    tested again. In exact arithmetic the cut is the one the search on all
-    ambiguous pixels would return, its minimal foreground; where several
-    cuts have the same energy, as on a frame of one colour, rounding may
-    pick another of them.
+    Each cut is ``_ring_cut``: the partial-optimality reduction of
+    ``_reduced_cut`` over the ambiguous pixels, with the definite pixels next
+    to them fixed to their side. In exact arithmetic it is the minimum cut
+    with the smallest foreground; where several cuts have the same energy, as
+    on a frame of one colour, rounding may pick another of them.
     """
     if params is None:
         params = GrabcutParams()
@@ -547,46 +562,16 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     crop = mask[window]
     trimap = build_trimap(crop, params)
     z = img[window].astype(np.float64)
-    weights = _pairwise_weights(z, params.gamma)
-
-    probable = trimap.probable()
-    def_fg = trimap.definite_fg()
-    node_of = np.full(crop.shape, -1, dtype=np.int64)
-    node_of[probable] = np.arange(int(probable.sum()))
-    n_nodes = int(probable.sum())
+    edges, edge_cap = _window_edges(z, params.gamma)
+    ring_cut = _ring_cut(trimap, edges, edge_cap)
 
     # one fixed fitting seed per side, reused every round: the fit depends
     # only on the current partition, never on iteration count
     fg_seed, bg_seed = (int(v) for v in np.random.SeedSequence(params.rng_seed).generate_state(2, dtype=np.uint64))
 
-    # neighbor structure is constant across rounds; build it once
-    prob_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    fold_fg = np.zeros(n_nodes)  # smoothness toward pixels pinned to FG
-    fold_bg = np.zeros(n_nodes)  # smoothness toward pixels pinned to BG
-    for dr, dc, w in weights:
-        (r0, c0), (r1, c1) = _pair_index(crop.shape, dr, dc)
-        p_prob = probable[r0, c0]
-        q_prob = probable[r1, c1]
-        both = p_prob & q_prob
-        prob_edges.append(
-            (node_of[r0, c0][both], node_of[r1, c1][both], w[both])
-        )
-        for a_prob, (ra, ca), (rb, cb) in (
-            (p_prob & ~q_prob, (r0, c0), (r1, c1)),
-            (q_prob & ~p_prob, (r1, c1), (r0, c0)),
-        ):
-            nodes = node_of[ra, ca][a_prob]
-            pinned_fg = def_fg[rb, cb][a_prob]
-            np.add.at(fold_fg, nodes[pinned_fg], w[a_prob][pinned_fg])
-            np.add.at(fold_bg, nodes[~pinned_fg], w[a_prob][~pinned_fg])
-    edges = np.concatenate([np.stack([u, v], axis=1) for u, v, _ in prob_edges]) if n_nodes else np.zeros((0, 2), dtype=np.int64)
-    edge_cap = np.concatenate([c for _, _, c in prob_edges]) if n_nodes else np.zeros(0)
-    table = _neighbour_table(n_nodes, edges, edge_cap)
-
     alpha = crop.astype(bool)
     fg_gmm = bg_gmm = None
     flat = z.reshape(-1, 3)
-    prob_flat = probable.reshape(-1)
     trace: list[float] = []
     for _ in range(params.iterations):
         fg_px = z[alpha]
@@ -597,19 +582,8 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
             bg_gmm = fit_gmm(bg_px, min(params.components_k, bg_px.shape[0]), bg_seed)
         data_fg = np.minimum(-fg_gmm.log_likelihood(flat), MAX_DATA_TERM)
         data_bg = np.minimum(-bg_gmm.log_likelihood(flat), MAX_DATA_TERM)
-
-        cut = def_fg.copy()
-        if n_nodes:
-            # source side = foreground: the link a cut severs is the one to
-            # the terminal the pixel does NOT join, hence the opposite model
-            src = data_bg[prob_flat] + fold_fg
-            snk = data_fg[prob_flat] + fold_bg
-            shift = np.minimum(src, snk)  # same constant on both terminals of a
-            src = src - shift  # pixel moves every cut equally; keeps caps >= 0
-            snk = snk - shift
-            side = _reduced_cut(GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap), table)
-            cut[probable] = side.astype(bool)
-        trace.append(_labeling_energy(cut, data_fg, data_bg, weights))
+        cut = ring_cut(data_fg, data_bg)
+        trace.append(_labeling_energy(cut, data_fg, data_bg, edges, edge_cap))
         if (cut == alpha).all():
             break  # fixed point: every later round would get this input and repeat this one
         alpha = cut

@@ -142,29 +142,39 @@ def _read_file(path) -> bytes:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _write_file(path, payload: bytes) -> None:
-    """Replace ``path`` whole: write a new file beside it, then rename it over ``path``.
+def _write_files(items) -> None:
+    """Replace every ``(path, payload)`` of ``items`` whole, or none of them.
 
-    If the process fails or is killed, a reader sees the old file or the new one,
-    never a partial write (there is no fsync, so a power loss may still lose
-    either); on failure an existing ``path`` keeps its bytes and no temporary file
-    is left. The new file gets the mode and owner a plain ``open`` gives a new
-    file, so an existing file's mode, owner and hard links are not kept, and a
-    symlink or other non-regular ``path`` is replaced by a regular file.
+    Every payload is written to a new file beside its target before any is
+    renamed over its target. A reader sees the old files or the new ones,
+    never a partial write, if the process fails or is killed before the
+    renames (there is no fsync, so a power loss may still lose either); on
+    failure the targets keep their bytes and no temporary file is left. A
+    directory target is rejected up front; a rename that fails even so
+    leaves the earlier targets replaced. A new file gets the mode and owner
+    a plain ``open`` gives, so an existing file's mode, owner and hard links
+    are not kept, and a symlink or other non-regular target becomes a
+    regular file.
     """
-    # a fixed-length name, so a target name near the length limit still works
-    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".{os.urandom(8).hex()}.tmp")
+    for path, _ in items:
+        if os.path.isdir(path):
+            raise IoFailure(f"cannot write {path}: it is a directory")
+    tmps: list[str] = []
     try:
-        f = open(tmp, "xb")  # "x": never truncate a file this call did not create
+        for path, payload in items:
+            # a fixed-length name, so a target name near the length limit still works
+            tmp = os.path.join(os.path.dirname(os.fspath(path)), f".{os.urandom(8).hex()}.tmp")
+            f = open(tmp, "xb")  # "x": never truncate a file this call did not create
+            tmps.append(tmp)
+            with f:
+                f.write(payload)
+        for path, _ in items:
+            os.replace(tmps[0], path)
+            tmps.pop(0)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    try:
-        with f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
@@ -185,11 +195,16 @@ def read_label_map(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
 
 
-def write_label_map(label_map, path) -> None:
-    """Write a label map as binary PGM, byte-deterministically."""
+def _label_map_bytes(label_map) -> bytes:
+    """A label map as binary PGM bytes, byte-deterministically."""
     a = ensure_label_map(label_map)
     h, w = a.shape
-    _write_file(path, b"P5\n%d %d\n255\n" % (w, h) + a.tobytes())
+    return b"P5\n%d %d\n255\n" % (w, h) + a.tobytes()
+
+
+def write_label_map(label_map, path) -> None:
+    """Write a label map as binary PGM, byte-deterministically."""
+    _write_files([(path, _label_map_bytes(label_map))])
 
 
 def read_rgb_image(path) -> np.ndarray:
@@ -200,11 +215,16 @@ def read_rgb_image(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
-def write_rgb_image(image, path) -> None:
-    """Write an RGB image as binary PPM, byte-deterministically."""
+def _rgb_image_bytes(image) -> bytes:
+    """An RGB image as binary PPM bytes, byte-deterministically."""
     a = ensure_rgb_image(image)
     h, w, _ = a.shape
-    _write_file(path, b"P6\n%d %d\n255\n" % (w, h) + a.tobytes())
+    return b"P6\n%d %d\n255\n" % (w, h) + a.tobytes()
+
+
+def write_rgb_image(image, path) -> None:
+    """Write an RGB image as binary PPM, byte-deterministically."""
+    _write_files([(path, _rgb_image_bytes(image))])
 
 
 # --- FPLT logits container ---
@@ -237,4 +257,4 @@ def write_logits(logits, path) -> None:
     a = ensure_logits(logits)
     c, h, w = a.shape
     header = FPLT_MAGIC + struct.pack("<IIII", FPLT_VERSION, c, h, w)
-    _write_file(path, header + a.astype("<f4", copy=False).tobytes())
+    _write_files([(path, header + a.astype("<f4", copy=False).tobytes())])

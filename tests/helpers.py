@@ -8,6 +8,7 @@ with the library's vectorized code paths, which is the point.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,117 @@ def oracle_max_flow(graph: ea.GridGraph):
         if seen[i]:
             side[i] = 1
     return flow, side
+
+
+# --- GrabCut graph oracles ---
+
+# 8-connectivity, one representative per undirected neighbor pair
+_DIRECTIONS = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.0)))
+
+
+def _pairwise_weights(z: np.ndarray, gamma: float) -> list[tuple[int, int, np.ndarray]]:
+    """Contrast-sensitive smoothness weight arrays, one per direction.
+
+    Weight between neighbors p, q is gamma * exp(-beta * ||z_p - z_q||^2)
+    divided by their distance, with beta = 1 / (2 * mean squared color
+    difference over all 8-neighbor pairs). A constant image makes that mean
+    zero; beta falls back to 0 and the weights become uniform gamma / dist.
+    """
+    diffs = []
+    for dr, dc, _ in _DIRECTIONS:
+        a = z[: z.shape[0] - dr, max(0, -dc) : z.shape[1] - max(0, dc)]
+        b = z[dr:, max(0, dc) : z.shape[1] - max(0, -dc)]
+        diffs.append(((a - b) ** 2).sum(axis=2))
+    total = sum(float(d.sum()) for d in diffs)
+    count = sum(d.size for d in diffs)
+    mean_sq = total / count if count else 0.0
+    beta = 0.0 if mean_sq == 0.0 else 1.0 / (2.0 * mean_sq)
+    return [
+        (dr, dc, gamma * np.exp(-beta * d) / dist)
+        for (dr, dc, dist), d in zip(_DIRECTIONS, diffs)
+    ]
+
+
+def _pair_index(shape: tuple[int, int], dr: int, dc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row/col index grids of the two endpoints of every (dr, dc) pair."""
+    h, w = shape
+    rr, cc = np.meshgrid(
+        np.arange(h - dr), np.arange(max(0, -dc), w - max(0, dc)), indexing="ij"
+    )
+    return (rr, cc), (rr + dr, cc + dc)
+
+
+def oracle_folded_graph(z, trimap, data_fg, data_bg, gamma: float):
+    """The min-cut network over the ambiguous pixels only, with the smoothness
+    weight toward each definite neighbour folded by hand into the terminal
+    link of that neighbour's side, as ``grabcut_refine`` once built it.
+
+    ``data_fg``/``data_bg`` are flat over the window. Returns the graph and
+    the ambiguous-pixel mask whose row-major order numbers its nodes.
+    """
+    weights = _pairwise_weights(z, gamma)
+    probable = trimap.probable()
+    def_fg = trimap.definite_fg()
+    node_of = np.full(probable.shape, -1, dtype=np.int64)
+    node_of[probable] = np.arange(int(probable.sum()))
+    n_nodes = int(probable.sum())
+
+    prob_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    fold_fg = np.zeros(n_nodes)  # smoothness toward pixels pinned to FG
+    fold_bg = np.zeros(n_nodes)  # smoothness toward pixels pinned to BG
+    for dr, dc, w in weights:
+        (r0, c0), (r1, c1) = _pair_index(probable.shape, dr, dc)
+        p_prob = probable[r0, c0]
+        q_prob = probable[r1, c1]
+        both = p_prob & q_prob
+        prob_edges.append(
+            (node_of[r0, c0][both], node_of[r1, c1][both], w[both])
+        )
+        for a_prob, (ra, ca), (rb, cb) in (
+            (p_prob & ~q_prob, (r0, c0), (r1, c1)),
+            (q_prob & ~p_prob, (r1, c1), (r0, c0)),
+        ):
+            nodes = node_of[ra, ca][a_prob]
+            pinned_fg = def_fg[rb, cb][a_prob]
+            np.add.at(fold_fg, nodes[pinned_fg], w[a_prob][pinned_fg])
+            np.add.at(fold_bg, nodes[~pinned_fg], w[a_prob][~pinned_fg])
+    edges = np.concatenate([np.stack([u, v], axis=1) for u, v, _ in prob_edges]) if n_nodes else np.zeros((0, 2), dtype=np.int64)
+    edge_cap = np.concatenate([c for _, _, c in prob_edges]) if n_nodes else np.zeros(0)
+
+    prob_flat = probable.reshape(-1)
+    # source side = foreground: the link a cut severs is the one to
+    # the terminal the pixel does NOT join, hence the opposite model
+    src = data_bg[prob_flat] + fold_fg
+    snk = data_fg[prob_flat] + fold_bg
+    shift = np.minimum(src, snk)  # same constant on both terminals of a
+    src = src - shift  # pixel moves every cut equally; keeps caps >= 0
+    snk = snk - shift
+    return ea.GridGraph(source_cap=src, sink_cap=snk, edges=edges, edge_cap=edge_cap), probable
+
+
+def oracle_labeling_energy(alpha, data_fg, data_bg, z, gamma: float) -> float:
+    """GrabCut's Gibbs energy by double loops: the data term of every pixel on
+    its side, plus the contrast-sensitive weight of every 8-neighbour pair whose
+    two pixels lie on different sides."""
+    h, w = alpha.shape
+    pairs = []
+    for r in range(h):
+        for c in range(w):
+            for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w:
+                    d2 = sum((float(z[r, c, k]) - float(z[rr, cc, k])) ** 2 for k in range(3))
+                    pairs.append(((r, c), (rr, cc), d2, math.hypot(dr, dc)))
+    mean_sq = sum(d2 for _, _, d2, _ in pairs) / len(pairs) if pairs else 0.0
+    beta = 0.0 if mean_sq == 0.0 else 1.0 / (2.0 * mean_sq)
+    energy = 0.0
+    for r in range(h):
+        for c in range(w):
+            energy += float(data_fg[r * w + c] if alpha[r, c] else data_bg[r * w + c])
+    for p, q, d2, dist in pairs:
+        if alpha[p] != alpha[q]:
+            energy += gamma * math.exp(-beta * d2) / dist
+    return energy
 
 
 # --- mixture-fit oracle ---

@@ -720,6 +720,51 @@ def test_failed_write_keeps_old_output(capsys, tmp_path, monkeypatch, command):
     assert [p.name for p in out.parent.iterdir()] == ["o"]
 
 
+def _tree(root: Path) -> dict:
+    """Every path under ``root`` with its bytes, None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+def _multi_output_case(tmp_path, command):
+    """argv of a command that writes several files, the files it writes besides
+    the last one, and the last one."""
+    if command == "augment":
+        rng = np.random.default_rng(9)
+        ea.write_rgb_image(rng.integers(0, 256, (3, 4, 3)).astype(np.uint8), tmp_path / "i.ppm")
+        ea.write_label_map(rng.integers(0, 4, (3, 4)).astype(np.uint8), tmp_path / "l.pgm")
+        argv = ["augment", "--op", "rot90", "--image", str(tmp_path / "i.ppm"), "--labels", str(tmp_path / "l.pgm")]
+        argv += ["--out-prefix", str(tmp_path / "r_")]
+        return argv, [tmp_path / "r_image.ppm"], tmp_path / "r_labels.pgm"
+    if command == "grabcut":
+        argv = _grabcut_argv(tmp_path) + ["--energy-trace", str(tmp_path / "trace.json")]
+        return argv, [tmp_path / "o.pgm"], tmp_path / "trace.json"
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    out_dir = tmp_path / "out"
+    argv = ["--jobs", "1", *_pipeline_argv(paths, out_dir)]
+    return argv, [out_dir / "000.pgm", out_dir / "001.pgm"], out_dir / "report.json"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+@pytest.mark.parametrize("command", ["augment", "grabcut", "pipeline"])
+def test_multi_file_command_writes_all_outputs_or_none(capsys, tmp_path, command, existing):
+    argv, first, last = _multi_output_case(tmp_path, command)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    for path in first + [last]:
+        assert path.is_file()
+        path.unlink()
+    last.mkdir()  # the last target cannot be replaced
+    (last / "kept").write_bytes(b"inside")
+    for path in first if existing else []:
+        path.write_bytes(b"old bytes")
+    before = _tree(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: cannot write {last}: it is a directory\n"
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.rglob(".*.tmp"))
+
+
 # --- roi ---
 
 
@@ -874,6 +919,28 @@ def test_roi_paste(capsys, tmp_path):
     )
     assert code == 0
     assert (ea.read_label_map(out) == ea.paste(canvas, patch, ea.Box(1, 1, 3, 3))).all()
+
+
+@pytest.mark.parametrize("given", ["jsonl", "frame", "both"])
+@pytest.mark.parametrize("op", ["crop", "paste"])
+def test_roi_box_excludes_boxes_jsonl_and_frame(capsys, tmp_path, op, given):
+    ea.write_label_map(np.zeros((8, 8), dtype=np.uint8), tmp_path / "l.pgm")
+    ea.write_label_map(np.ones((2, 2), dtype=np.uint8), tmp_path / "p.pgm")
+    jl = tmp_path / "boxes.jsonl"
+    jl.write_text('{"frame": "f0", "box": [1, 1, 3, 3]}\n')
+    if op == "crop":
+        argv = ["roi", "crop", "--labels", str(tmp_path / "l.pgm")]
+    else:
+        argv = ["roi", "paste", "--canvas", str(tmp_path / "l.pgm"), "--patch", str(tmp_path / "p.pgm")]
+    argv += ["--box", "1,1,3,3", "--out", str(tmp_path / "o.pgm")]
+    if given in ("jsonl", "both"):
+        argv += ["--boxes-jsonl", str(jl)]
+    if given in ("frame", "both"):
+        argv += ["--frame", "f0"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: give either --box or both --boxes-jsonl and --frame\n"
+    assert not (tmp_path / "o.pgm").exists()
 
 
 # --- error paths ---

@@ -166,6 +166,13 @@ def test_max_flow_single_node():
     assert side.tolist() == [1]
 
 
+def test_max_flow_on_no_nodes():
+    g = GridGraph(np.zeros(0), np.zeros(0), np.zeros((0, 2), dtype=np.int64), np.zeros(0))
+    flow, side = max_flow(g)
+    assert flow == 0.0
+    assert side.dtype == np.uint8 and side.shape == (0,)
+
+
 def test_max_flow_two_nodes_bottleneck_edge():
     # strong source at node 0, strong sink at node 1, weak edge between:
     # cheapest cut severs the 0.5 edge plus the two weak terminal links
@@ -300,6 +307,80 @@ def test_reduction_leaves_source_ties_free_and_fixes_sink_ties(monkeypatch):
         assert side.tobytes() == max_flow(g)[1].tobytes()
 
 
+def _random_windows(seed: int, count: int, one_colour: bool = False):
+    """Seeded (z, trimap, data_fg, data_bg, gamma) windows; trimap radii 0-2,
+    so some windows have definite foreground next to definite background."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        h, w = (int(v) for v in rng.integers(5, 25, 2))
+        rr, cc = np.mgrid[0:h, 0:w]
+        cy, cx = rng.uniform(0.3, 0.7, 2) * (h, w)
+        ry, rx = rng.uniform(0.2, 0.4, 2) * (h, w)
+        mask = ((rr - cy) / ry) ** 2 + ((cc - cx) / rx) ** 2 <= 1
+        if mask.all() or not mask.any():
+            mask[0, 0] = not mask[0, 0]
+        params = ea.GrabcutParams(erode_radius=int(rng.integers(0, 3)), dilate_radius=int(rng.integers(0, 3)))
+        trimap = build_trimap(mask.astype(np.uint8), params)
+        gamma = float(rng.uniform(1.0, 60.0))
+        if one_colour:
+            z = np.broadcast_to(rng.integers(0, 256, 3), (h, w, 3)).astype(np.float64)
+            data_fg = np.full(h * w, rng.uniform(0.0, 20.0))
+            data_bg = data_fg if rng.random() < 0.5 else data_fg + rng.uniform(-1.0, 1.0)
+        else:
+            fg, bg = rng.integers(0, 256, 3), rng.integers(0, 256, 3)
+            z = np.clip(np.where(mask[..., None], fg, bg) + rng.normal(0, 25, (h, w, 3)), 0, 255).round()
+            data_fg = rng.uniform(0.0, 2.0 * gamma, h * w)
+            data_bg = rng.uniform(0.0, 2.0 * gamma, h * w)
+        yield z, trimap, data_fg, data_bg, gamma
+
+
+def _oracle_cut(z, trimap, data_fg, data_bg, gamma) -> np.ndarray:
+    """The window's mask after ``max_flow`` on the hand-folded probable-only graph."""
+    graph, probable = helpers.oracle_folded_graph(z, trimap, data_fg, data_bg, gamma)
+    cut = trimap.definite_fg().copy()
+    cut[probable] = max_flow(graph)[1].astype(bool)
+    return cut
+
+
+def test_ring_cut_equals_max_flow_on_the_folded_graph():
+    cases = searched = 0
+    for z, trimap, data_fg, data_bg, gamma in _random_windows(12, 56):
+        edges, edge_cap = grabcut._window_edges(z, gamma)
+        got = grabcut._ring_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+        want = _oracle_cut(z, trimap, data_fg, data_bg, gamma)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        cases += 1
+        searched += int(trimap.probable().any())
+    assert cases == 56 and searched >= 40
+
+
+def test_ring_cut_on_one_colour_windows_has_the_folded_cut_energy():
+    for z, trimap, data_fg, data_bg, gamma in _random_windows(13, 24, one_colour=True):
+        edges, edge_cap = grabcut._window_edges(z, gamma)
+        got = grabcut._ring_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+        want = _oracle_cut(z, trimap, data_fg, data_bg, gamma)
+        e_got = grabcut._labeling_energy(got, data_fg, data_bg, edges, edge_cap)
+        e_want = grabcut._labeling_energy(want, data_fg, data_bg, edges, edge_cap)
+        assert abs(e_got - e_want) <= 1e-9 * max(abs(e_want), 1.0)
+        assert got[trimap.definite_fg()].all() and not got[trimap.definite_bg()].any()
+
+
+def test_labeling_energy_equals_the_double_loop():
+    rng = np.random.default_rng(14)
+    radii_zero = 0
+    for one_colour in (False, True):
+        for z, trimap, data_fg, data_bg, gamma in _random_windows(15 + one_colour, 16, one_colour):
+            edges, edge_cap = grabcut._window_edges(z, gamma)
+            cut = grabcut._ring_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+            for alpha in (cut, trimap.definite_fg(), rng.random(cut.shape) < 0.5):
+                got = grabcut._labeling_energy(alpha, data_fg, data_bg, edges, edge_cap)
+                want = helpers.oracle_labeling_energy(alpha, data_fg, data_bg, z, gamma)
+                assert abs(got - want) <= 1e-12 * abs(want)
+            radii_zero += not trimap.probable().any()
+    assert radii_zero > 0  # some windows had definite foreground next to definite background
+
+
 def test_graph_validation_errors():
     with pytest.raises(ShapeMismatch):
         GridGraph(np.zeros(2), np.zeros(3), np.zeros((0, 2), dtype=int), np.zeros(0)).validate()
@@ -406,6 +487,15 @@ def test_refine_runs_every_round_while_partition_changes(monkeypatch):
     assert (four != five).any()  # the fifth cut still moved pixels
     assert len(calls) == 5
     assert trace5[:4] == trace4 and len(trace5) == 5
+
+
+def test_refine_without_ambiguous_pixels_returns_the_init_mask():
+    image, _, init = helpers.disk_scene(noise_seed=2)
+    params = ea.GrabcutParams(rng_seed=3, iterations=4, erode_radius=0, dilate_radius=0)
+    assert not build_trimap(init, params).probable().any()
+    refined, trace = ea.grabcut_refine(image, init, params)
+    assert refined.dtype == np.uint8 and (refined == init).all()
+    assert len(trace) == params.iterations and len(set(trace)) == 1
 
 
 def test_refine_respects_definite_regions():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eaparse as ea
+from eaparse import tensorio
 from eaparse.errors import (
     BadMagic,
     BadVersion,
@@ -181,6 +182,19 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
         ea.write_label_map(np.zeros((2, 2), dtype=np.uint8), target)
     assert target.read_bytes() == b"old bytes"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["l.pgm"]
+
+
+def test_failed_write_of_a_later_file_replaces_none(tmp_path):
+    first = tmp_path / "a.pgm"
+    first.write_bytes(b"old bytes")
+    items = [(first, b"new a"), (tmp_path / "b.pgm", b"new b"), (tmp_path / "absent" / "c.pgm", b"new c")]
+    with pytest.raises(IoFailure, match="absent"):
+        tensorio._write_files(items)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm"]
+    assert first.read_bytes() == b"old bytes"
+    tensorio._write_files(items[:2])
+    assert first.read_bytes() == b"new a" and (tmp_path / "b.pgm").read_bytes() == b"new b"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
 
 
 def test_written_files_get_the_mode_of_a_plain_open(tmp_path):

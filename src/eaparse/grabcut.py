@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,53 +136,127 @@ class ColorGmm:
 
     ``weights`` sum to 1 (components may carry weight 0 after losing all
     members); every covariance is kept positive definite by the fit ridge.
+    Construction raises ``InvalidRaster`` unless the shapes agree, every
+    value is finite, the weights are >= 0 with a positive sum and every
+    covariance is symmetric positive definite. It factors each covariance
+    once, Sigma = L L^T, and keeps what scoring needs: every component's
+    whitening map inv(L)^T side by side in one (3, 3K) matrix, the whitened
+    means, and each component's log normaliser, with
+    log det Sigma = 2 * sum(log diag L).
     """
 
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, 3)
     covariances: np.ndarray  # (K, 3, 3)
+    _whiten: np.ndarray = field(init=False, repr=False, compare=False)  # (3, 3K)
+    _white_means: np.ndarray = field(init=False, repr=False, compare=False)  # (3K,)
+    _block_sum: np.ndarray = field(init=False, repr=False, compare=False)  # (3K, K)
+    _log_norm: np.ndarray = field(init=False, repr=False, compare=False)  # (K,)
+
+    def __post_init__(self):
+        try:
+            weights, means, covs = (
+                np.asarray(a, dtype=np.float64) for a in (self.weights, self.means, self.covariances)
+            )
+        except (TypeError, ValueError) as exc:
+            raise InvalidRaster(f"mixture parameters must be real numbers: {exc}") from exc
+        k = weights.shape[0] if weights.ndim == 1 else 0
+        if k == 0 or means.shape != (k, 3) or covs.shape != (k, 3, 3):
+            raise InvalidRaster(
+                "need weights (K,), means (K, 3) and covariances (K, 3, 3) with K >= 1, "
+                f"got {weights.shape}, {means.shape} and {covs.shape}"
+            )
+        if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
+            raise InvalidRaster("mixture parameters must be finite")
+        if weights.min() < 0 or weights.sum() <= 0:
+            raise InvalidRaster("mixture weights must be >= 0 with a positive sum")
+        scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
+        if (np.abs(covs - covs.transpose(0, 2, 1)) > 1e-9 * scale).any():
+            raise InvalidRaster("every covariance must be symmetric")
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidRaster("every covariance must be positive definite") from exc
+        with np.errstate(over="ignore"):  # reported below
+            whiten = np.linalg.inv(chol).transpose(0, 2, 1)  # x -> x @ whiten[i] for row vectors
+            white_means = np.matmul(means[:, None, :], whiten).reshape(3 * k)
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        if not all(np.isfinite(a).all() for a in (whiten, white_means, log_det)):
+            raise InvalidRaster("mixture parameters overflow when whitened")
+        for name, value in (
+            ("weights", weights),
+            ("means", means),
+            ("covariances", covs),
+            ("_whiten", whiten.transpose(1, 0, 2).reshape(3, 3 * k)),
+            ("_white_means", white_means),
+            ("_block_sum", np.repeat(-0.5 * np.eye(k), 3, axis=0)),
+            ("_log_norm", -0.5 * (log_det + 3.0 * math.log(2.0 * math.pi))),
+        ):
+            object.__setattr__(self, name, value)
 
     def _component_logpdf(self, pixels: np.ndarray) -> np.ndarray:
-        """(N, K) log density of each pixel under each component."""
+        """(N, K) log density of each pixel under each component.
+
+        The Mahalanobis term of component i is ||(x - mu_i) inv(L_i)^T||^2.
+        One (N, 3) x (3, 3K) product whitens every pixel for all K components
+        at once, the whitened means are subtracted in place, and a (3K, K)
+        block product sums each component's three squares times -1/2, to
+        which the component's log normaliser is added.
+        """
         px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
-        k = self.weights.shape[0]
-        out = np.empty((px.shape[0], k), dtype=np.float64)
-        for i in range(k):
-            diff = px - self.means[i]
-            inv = np.linalg.inv(self.covariances[i])
-            _, logdet = np.linalg.slogdet(self.covariances[i])
-            quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
-            out[:, i] = -0.5 * (quad + logdet + 3.0 * math.log(2.0 * math.pi))
+        white = px @ self._whiten
+        white -= self._white_means
+        np.square(white, out=white)
+        out = white @ self._block_sum
+        out += self._log_norm
         return out
 
     def _scores(self, pixels) -> np.ndarray:
         """(N, K) log weight plus log density of each pixel under each component."""
         with np.errstate(divide="ignore"):
             logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
-        return self._component_logpdf(pixels) + logw
+        out = self._component_logpdf(pixels)
+        out += logw
+        return out
 
     def log_likelihood(self, pixels) -> np.ndarray:
         """(N,) log of the weighted mixture density at each pixel."""
         scored = self._scores(pixels)
-        top = scored.max(axis=1, keepdims=True)
-        return (top + np.log(np.exp(scored - top).sum(axis=1, keepdims=True)))[:, 0]
+        top = scored.max(axis=1)
+        scored -= top[:, None]
+        np.exp(scored, out=scored)
+        total = scored.sum(axis=1)
+        np.log(total, out=total)
+        total += top
+        return total
+
+
+# upper-triangle entries of a 3x3 matrix, and the symmetric matrix rebuilt from them
+_TRI_ROW, _TRI_COL = np.triu_indices(3)
+_FROM_TRI = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def _estimate(px: np.ndarray, assign: np.ndarray, k: int, prev_means: np.ndarray) -> ColorGmm:
-    """ML re-estimation from a hard assignment; empty components keep weight 0."""
+    """ML re-estimation from a hard assignment, all components in one pass.
+
+    A stable sort by component lays each component's members out as one
+    segment in pixel order; segment sums give the means, and, once each
+    member has its mean subtracted, the centred second moments. Empty
+    components keep weight 0, their previous mean and a ridge-only covariance.
+    """
     n = px.shape[0]
-    weights = np.zeros(k)
+    counts = np.bincount(assign, minlength=k)
+    full = counts > 0
+    starts = (np.cumsum(counts) - counts)[full]
+    members = np.take(px, np.argsort(assign, kind="stable"), axis=0)
     means = prev_means.copy()
-    covs = np.tile(COV_RIDGE * np.eye(3), (k, 1, 1))
-    for i in range(k):
-        members = px[assign == i]
-        if members.shape[0] == 0:
-            continue
-        weights[i] = members.shape[0] / n
-        means[i] = members.mean(axis=0)
-        diff = members - means[i]
-        covs[i] = diff.T @ diff / members.shape[0] + COV_RIDGE * np.eye(3)
-    return ColorGmm(weights=weights, means=means, covariances=covs)
+    means[full] = np.add.reduceat(members, starts, axis=0) / counts[full, None]
+    members -= np.repeat(means, counts, axis=0)
+    products = members[:, _TRI_ROW] * members[:, _TRI_COL]  # (n, 6)
+    moments = np.zeros((k, 6))
+    moments[full] = np.add.reduceat(products, starts, axis=0) / counts[full, None]
+    covs = moments[:, _FROM_TRI].reshape(k, 3, 3) + COV_RIDGE * np.eye(3)
+    return ColorGmm(weights=counts / n, means=means, covariances=covs)
 
 
 def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
@@ -191,41 +265,50 @@ def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
     Each round assigns every pixel to its highest-scoring component and then
     re-estimates weights, means and ridge-regularized covariances from the
     members, for ``_GMM_ROUNDS`` rounds or until the assignment repeats (its
-    refit would rebuild the same model bit for bit). Fully deterministic for a
-    fixed seed. ``with_trace`` also returns the classification log-likelihood
-    after the initial estimate and every round, the stopping one included.
+    refit would rebuild the same model bit for bit). Each model is scored
+    once, in ``ColorGmm``'s factorised form, and that score gives the next
+    assignment. Fully deterministic for a fixed seed. ``with_trace`` also
+    returns the classification log-likelihood after the initial estimate and
+    every round, the stopping one included; it is computed only when asked for.
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
     n = px.shape[0]
+    if k < 1:
+        raise InvalidRaster(f"a mixture needs at least one component, got {k}")
     if n < k:
         raise TooFewPixels(f"{n} pixels cannot support {k} mixture components")
 
     rng = np.random.default_rng(rng_seed)
-    centers = px[int(rng.integers(n))][None]
-    d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
-    for _ in range(1, k):
-        d2 = np.minimum(d2, ((px - centers[-1]) ** 2).sum(axis=1))
+    centers = [px[int(rng.integers(n))]]
+    dist = np.empty((k, n))  # squared distance of every pixel to each centre
+    dist[0] = ((px - centers[0]) ** 2).sum(axis=1)
+    d2 = dist[0].copy()  # to the nearest centre so far
+    for i in range(1, k):
         total = d2.sum()
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
-        centers = np.vstack([centers, px[idx]])
+        centers.append(px[idx])
+        dist[i] = ((px - centers[i]) ** 2).sum(axis=1)
+        np.minimum(d2, dist[i], out=d2)
 
-    assign = ((px[:, None, :] - centers[None]) ** 2).sum(axis=2).argmin(axis=1)
-    gmm = _estimate(px, assign, k, prev_means=centers)
+    assign = dist.argmin(axis=0)
+    gmm = _estimate(px, assign, k, prev_means=np.array(centers))
     scores = gmm._scores(px)
-    trace = [float(scores[np.arange(n), assign].sum())]
+    trace = [float(scores[np.arange(n), assign].sum())] if with_trace else None
 
     for _ in range(_GMM_ROUNDS):
         new_assign = scores.argmax(axis=1)
         if (new_assign == assign).all():
-            trace.append(trace[-1])
+            if with_trace:
+                trace.append(trace[-1])
             break
         assign = new_assign
         gmm = _estimate(px, assign, k, prev_means=gmm.means)
         scores = gmm._scores(px)
-        trace.append(float(scores[np.arange(n), assign].sum()))
+        if with_trace:
+            trace.append(float(scores[np.arange(n), assign].sum()))
     return (gmm, trace) if with_trace else gmm
 
 

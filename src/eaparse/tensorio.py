@@ -150,15 +150,23 @@ def _write_files(items) -> None:
     never a partial write, if the process fails or is killed before the
     renames (there is no fsync, so a power loss may still lose either); on
     failure the targets keep their bytes and no temporary file is left. A
-    directory target is rejected up front; a rename that fails even so
+    directory target is rejected up front, and so are two items that name
+    one target (the same name in the same directory, once symlinks and
+    ``..`` in the directory part are resolved); a rename that fails even so
     leaves the earlier targets replaced. A new file gets the mode and owner
     a plain ``open`` gives, so an existing file's mode, owner and hard links
     are not kept, and a symlink or other non-regular target becomes a
     regular file.
     """
+    targets = {}
     for path, _ in items:
         if os.path.isdir(path):
             raise IoFailure(f"cannot write {path}: it is a directory")
+        head, name = os.path.split(os.fspath(path))
+        key = (os.path.realpath(head), name)  # what os.replace acts on
+        if key in targets:
+            raise IoFailure(f"cannot write {path}: {targets[key]} names the same file")
+        targets[key] = path
     tmps: list[str] = []
     try:
         for path, payload in items:

@@ -1,0 +1,175 @@
+"""Output fingerprints of one source tree, for declaring bit changes.
+
+    python tests/fingerprint.py --out new.json
+    python tests/fingerprint.py --src OTHER_CHECKOUT/src --out old.json
+    python tests/fingerprint.py --compare old.json new.json
+
+The first two forms import ``eaparse`` from ``--src`` (by default the
+``src`` beside this file) and write a JSON object of sha256 digests:
+
+* ``pipeline/<workload>/seed<s>``: the ``pipeline`` output directory (every
+  file name and its bytes, in name order) of each benchmark workload at
+  seeds 1-3, on the clip ``bench/gen.py`` writes for it;
+* ``fit_gmm/<i>``: the weights, means and covariances of seeded random
+  mixture fits;
+* ``grabcut_refine/<i>``: the refined masks of seeded random scenes.
+
+The random cases include quantised colours with exact ties, one-colour
+frames and dilate radii from 0 to 8. ``--compare`` prints, per
+group, how many entries differ between two such files, and names the
+changed pipeline entries. This file is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as the benchmark runs, set before numpy loads
+os.environ.update({v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+N_RANDOM = 320  # cases per random group
+
+
+def _digest_dir(out_dir: Path) -> str:
+    h = hashlib.sha256()
+    for p in sorted(out_dir.iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+def _digest_arrays(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def pipeline_prints(cli, gen) -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="eaparse_fingerprint_") as tmp:
+        for workload in sorted(gen.WORKLOADS):
+            for seed in SEEDS:
+                work = Path(tmp) / f"{workload}-{seed}"
+                clip = gen.make_clip(workload, seed, work / "clip")
+                code = cli.main(gen.pipeline_args(clip, work / "out"))
+                if code != 0:
+                    raise SystemExit(f"pipeline on {workload} seed {seed} exited {code}")
+                out[f"pipeline/{workload}/seed{seed}"] = _digest_dir(work / "out")
+    return out
+
+
+def _random_pixels(rng: np.random.Generator, style: int, n: int) -> np.ndarray:
+    if style == 0:
+        return rng.uniform(0, 255, (n, 3))
+    if style == 1:  # few distinct colours, many exact ties
+        return (rng.integers(0, 4, (n, 3)) * 60).astype(np.float64)
+    if style == 2:
+        return rng.normal(128, 40, (n, 3))
+    centres = rng.uniform(0, 255, (3, 3))  # tight clusters, covariances near the ridge
+    return centres[rng.integers(0, 3, n)] + rng.normal(0, 0.05, (n, 3))
+
+
+def gmm_prints(ea) -> dict[str, str]:
+    rng = np.random.default_rng(20210619)
+    out = {}
+    for i in range(N_RANDOM):
+        k = int(rng.integers(1, 7))
+        n = int(rng.integers(max(k, 5), 2000))
+        gmm = ea.fit_gmm(_random_pixels(rng, i % 4, n), k, int(rng.integers(2**31)))
+        out[f"fit_gmm/{i:03d}"] = _digest_arrays(gmm.weights, gmm.means, gmm.covariances)
+    return out
+
+
+def _random_scene(rng: np.random.Generator, style: int):
+    h, w = (int(v) for v in rng.integers(12, 41, 2))
+    yy, xx = np.mgrid[0:h, 0:w]
+    cy, cx = rng.uniform(0.3, 0.7) * h, rng.uniform(0.3, 0.7) * w
+    ry, rx = rng.uniform(0.15, 0.35) * h, rng.uniform(0.15, 0.35) * w
+    truth = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+    fg, bg = rng.integers(0, 256, (2, 3))
+    image = np.where(truth[..., None], fg, bg).astype(np.float64)
+    if style == 0:
+        image += rng.normal(0, rng.uniform(2, 40), image.shape)
+    elif style == 1:
+        image = (image // 64) * 64 + rng.integers(0, 2, image.shape) * 32
+    else:
+        image[:] = fg  # one colour: every cut of equal energy is a candidate
+    init = truth.copy()
+    init[rng.integers(0, h, 4), rng.integers(0, w, 4)] ^= True
+    if init.all() or not init.any():
+        init = truth
+    return np.clip(image, 0, 255).astype(np.uint8), init.astype(np.uint8)
+
+
+def grabcut_prints(ea) -> dict[str, str]:
+    rng = np.random.default_rng(20210620)
+    out = {}
+    for i in range(N_RANDOM):
+        image, init = _random_scene(rng, i % 3)
+        params = ea.GrabcutParams(
+            components_k=int(rng.integers(1, 6)),
+            gamma=float(rng.choice([0.0, 1.0, 10.0, 50.0])),
+            iterations=int(rng.integers(1, 6)),
+            erode_radius=int(rng.integers(0, 4)),
+            dilate_radius=int(rng.integers(0, 9)),
+            rng_seed=int(rng.integers(2**31)),
+        )
+        mask, _ = ea.grabcut_refine(image, init, params)
+        out[f"grabcut_refine/{i:03d}"] = _digest_arrays(mask)
+    return out
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    a = json.loads(a_path.read_text(encoding="utf-8"))
+    b = json.loads(b_path.read_text(encoding="utf-8"))
+    if a.keys() != b.keys():
+        print(f"the files hold different entries: {sorted(a.keys() ^ b.keys())[:5]} ...", file=sys.stderr)
+        return 1
+    groups: dict[str, list[str]] = {}
+    for key in a:
+        groups.setdefault(key.split("/")[0], []).append(key)
+    for group, keys in groups.items():
+        changed = [key for key in keys if a[key] != b[key]]
+        print(f"{group}: {len(changed)} of {len(keys)} changed")
+        if group == "pipeline":
+            for key in changed:
+                print(f"  {key}")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the eaparse package")
+    ap.add_argument("--out", type=Path, help="JSON file to write the fingerprints to")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="count the entries that differ")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        ap.error("give --out or --compare")
+
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+    import gen
+
+    import eaparse as ea
+    from eaparse import cli
+
+    prints = {**pipeline_prints(cli, gen), **gmm_prints(ea), **grabcut_prints(ea)}
+    args.out.write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(prints)} fingerprints of {Path(ea.__file__).parent} written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

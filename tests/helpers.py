@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,60 @@ def oracle_labeling_energy(alpha, data_fg, data_bg, z, gamma: float) -> float:
     return energy
 
 
-# --- mixture-fit oracle ---
+# --- mixture oracles ---
+
+
+def oracle_component_logpdf(gmm, pixels) -> np.ndarray:
+    """(N, K) log density of each pixel under each component, one component
+    at a time: an explicit inverse, ``slogdet`` and a three-operand einsum."""
+    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
+    out = np.empty((px.shape[0], gmm.weights.shape[0]))
+    for i in range(gmm.weights.shape[0]):
+        diff = px - gmm.means[i]
+        inv = np.linalg.inv(gmm.covariances[i])
+        sign, logdet = np.linalg.slogdet(gmm.covariances[i])
+        assert sign > 0
+        quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
+        out[:, i] = -0.5 * (quad + logdet + 3.0 * math.log(2.0 * math.pi))
+    return out
+
+
+def oracle_estimate(px: np.ndarray, assign: np.ndarray, k: int, prev_means: np.ndarray):
+    """(weights, means, covariances) of a hard assignment, one boolean mask
+    per component; an empty one keeps weight 0, its previous mean and the
+    ridge alone."""
+    from eaparse.grabcut import COV_RIDGE
+
+    n = px.shape[0]
+    weights = np.zeros(k)
+    means = prev_means.copy()
+    covs = np.tile(COV_RIDGE * np.eye(3), (k, 1, 1))
+    for i in range(k):
+        members = px[assign == i]
+        if members.shape[0] == 0:
+            continue
+        weights[i] = members.shape[0] / n
+        means[i] = members.mean(axis=0)
+        diff = members - means[i]
+        covs[i] = diff.T @ diff / members.shape[0] + COV_RIDGE * np.eye(3)
+    return weights, means, covs
+
+
+def exact_mahalanobis(cov: np.ndarray, diff: np.ndarray) -> float:
+    """diff^T inv(cov) diff for one (3,) diff, by Gaussian elimination in
+    exact rational arithmetic on the float inputs, rounded once at the end."""
+    d = [Fraction(float(x)) for x in diff]
+    rows = [[Fraction(float(x)) for x in cov[i]] + [d[i]] for i in range(3)]
+    for col in range(3):
+        for r in range(col + 1, 3):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    y = [Fraction(0)] * 3
+    for r in (2, 1, 0):
+        y[r] = (rows[r][3] - sum(rows[r][j] * y[j] for j in range(r + 1, 3))) / rows[r][r]
+    return float(sum(a * b for a, b in zip(d, y)))
+
+
 
 
 def oracle_fit_gmm(pixels, k: int, rng_seed):

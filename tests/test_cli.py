@@ -533,6 +533,22 @@ def _grabcut_argv(tmp_path):
     return argv + ["--class", "1", "--out", str(tmp_path / "o.pgm")]
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotdot"])
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_grabcut_out_and_energy_trace_naming_one_file_is_exit_2(capsys, tmp_path, spelling, existing):
+    (tmp_path / "d").mkdir()
+    out = tmp_path / "o.pgm"
+    trace = out if spelling == "same" else tmp_path / "d" / ".." / "o.pgm"
+    argv = _grabcut_argv(tmp_path) + ["--energy-trace", str(trace)]
+    if existing:
+        out.write_bytes(b"old bytes")
+    before = _tree(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "o.pgm" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
 def test_grabcut_huge_trimap_radii_finish(capsys, tmp_path, monkeypatch):
     argv = _grabcut_argv(tmp_path)
     config = tmp_path / "c.json"

@@ -13,6 +13,7 @@ from eaparse.grabcut import (
     TRIMAP_FG,
     TRIMAP_PROB_BG,
     TRIMAP_PROB_FG,
+    ColorGmm,
     GridGraph,
     build_trimap,
     fit_gmm,
@@ -93,20 +94,22 @@ def test_gmm_likelihood_matches_single_gaussian_formula():
     assert np.allclose(gmm.log_likelihood(px), expected, atol=1e-12)
 
 
+def _random_pixels(rng, style, n):
+    """Continuous, quantised or clustered pixels."""
+    if style == 0:
+        return rng.uniform(0, 255, (n, 3))
+    if style == 1:
+        return (rng.integers(0, 4, (n, 3)) * 60).astype(np.float64)  # many exact ties
+    return rng.normal(128, 40, (n, 3))
+
+
 def _oracle_fit_inputs():
     """Seeded fit inputs: k from 1 to 5, continuous, quantised and clustered pixels."""
     rng = np.random.default_rng(11)
     for case in range(60):
         k = int(rng.integers(1, 6))
         n = int(rng.integers(max(k, 5), 300))
-        style = case % 3
-        if style == 0:
-            px = rng.uniform(0, 255, (n, 3))
-        elif style == 1:
-            px = (rng.integers(0, 4, (n, 3)) * 60).astype(np.float64)  # many exact ties
-        else:
-            px = rng.normal(128, 40, (n, 3))
-        yield px, k, case
+        yield _random_pixels(rng, case % 3, n), k, case
 
 
 def test_gmm_matches_refit_loop_oracle():
@@ -146,9 +149,153 @@ def test_gmm_scores_each_model_once(monkeypatch):
         assert 1 <= counts["scored"] <= counts["models"] <= _GMM_ROUNDS + 1
 
 
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def _random_models(rng, count):
+    """Seeded mixtures: covariances of condition <= 1e4 at every scale from
+    the ridge up, the ridge floor itself, tight clusters just above it, and
+    models estimated from assignments that leave components empty."""
+    for case in range(count):
+        k = int(rng.integers(1, 7))
+        style = case % 4
+        if style == 3:
+            px = _random_pixels(rng, case % 3, 300)
+            assign = rng.choice(rng.permutation(k)[: max(1, k - 1)], px.shape[0])
+            yield grabcut._estimate(px, assign, k, rng.uniform(0, 255, (k, 3)))
+            continue
+        covs = np.empty((k, 3, 3))
+        for i in range(k):
+            if style == 0:
+                low = np.exp(rng.uniform(np.log(grabcut.COV_RIDGE), np.log(1e4)))
+                q = _random_rotation(rng)
+                covs[i] = (q * (low * np.exp(rng.uniform(0, np.log(1e4), 3)))) @ q.T
+                covs[i] = (covs[i] + covs[i].T) / 2
+            elif style == 1:
+                covs[i] = grabcut.COV_RIDGE * np.eye(3)
+            else:
+                d = rng.normal(0, 0.03, (50, 3))
+                d -= d.mean(axis=0)
+                covs[i] = d.T @ d / 50 + grabcut.COV_RIDGE * np.eye(3)
+        yield ColorGmm(weights=rng.dirichlet(np.ones(k)), means=rng.uniform(0, 255, (k, 3)), covariances=covs)
+
+
+def test_component_logpdf_matches_inverse_oracle():
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for gmm in _random_models(rng, 500):
+        at_means = np.vstack([gmm.means, gmm.means + rng.normal(0, 0.01, gmm.means.shape)])
+        px = np.vstack([rng.uniform(0, 255, (100, 3)), at_means])
+        got = gmm._component_logpdf(px)
+        want = helpers.oracle_component_logpdf(gmm, px)
+        worst = max(worst, float((np.abs(got - want) / np.maximum(1.0, np.abs(want))).max()))
+    assert worst <= 1e-9
+
+
+def test_component_logpdf_on_ill_conditioned_covariances():
+    # wide scatter along one or two colour directions over the ridge: any
+    # float factorisation loses about cond * eps here, the old inverse form
+    # too, so both are held to the exact value within a few cond * eps
+    rng = np.random.default_rng(13)
+    eps = np.finfo(np.float64).eps
+    for _ in range(100):
+        v = rng.normal(0, rng.uniform(1, 100), (3, int(rng.integers(1, 3))))
+        cov = v @ v.T + grabcut.COV_RIDGE * np.eye(3)
+        mean = rng.uniform(0, 255, 3)
+        gmm = ColorGmm(weights=np.ones(1), means=mean[None], covariances=cov[None])
+        px = np.vstack([rng.uniform(0, 255, (4, 3)), mean])
+        _, logdet = np.linalg.slogdet(cov)
+        exact = np.array([helpers.exact_mahalanobis(cov, p - mean) for p in px])
+        want = -0.5 * (exact + logdet + 3.0 * np.log(2.0 * np.pi))
+        bound = 4 * eps * np.linalg.cond(cov) * np.maximum(1.0, np.abs(want))
+        assert (np.abs(gmm._component_logpdf(px)[:, 0] - want) <= bound).all()
+        assert (np.abs(helpers.oracle_component_logpdf(gmm, px)[:, 0] - want) <= bound).all()
+
+
+def test_estimate_matches_per_component_oracle():
+    rng = np.random.default_rng(14)
+    ridge = grabcut.COV_RIDGE * np.eye(3)
+    for case in range(200):
+        k = int(rng.integers(1, 7))
+        px = _random_pixels(rng, case % 3, int(rng.integers(k, 400)))
+        used = rng.permutation(k)[: int(rng.integers(1, k + 1))]
+        assign = rng.choice(used, px.shape[0])
+        prev = rng.uniform(0, 255, (k, 3))
+        got = grabcut._estimate(px, assign, k, prev)
+        weights, means, covs = helpers.oracle_estimate(px, assign, k, prev)
+        assert got.weights.tobytes() == weights.tobytes()
+        for a, b in ((got.means, means), (got.covariances, covs)):
+            assert (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))).all()
+        empty = np.setdiff1d(np.arange(k), assign)
+        assert (got.weights[empty] == 0).all()
+        assert (got.means[empty] == prev[empty]).all()
+        assert (got.covariances[empty] == ridge).all()
+
+
+_GOOD = dict(weights=np.array([0.25, 0.75]), means=np.zeros((2, 3)), covariances=np.tile(np.eye(3), (2, 1, 1)))
+
+
+def _with(**changes):
+    return {**_GOOD, **changes}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        _with(weights=np.array([[0.25, 0.75]])),
+        _with(weights=np.zeros(0), means=np.zeros((0, 3)), covariances=np.zeros((0, 3, 3))),
+        _with(means=np.zeros((2, 2))),
+        _with(means=np.zeros((3, 3))),
+        _with(covariances=np.tile(np.eye(2), (2, 1, 1))),
+        _with(covariances=np.eye(3)),
+        _with(weights=np.array([0.25, np.nan])),
+        _with(weights=np.array([-0.25, 1.25])),
+        _with(weights=np.zeros(2)),
+        _with(means=np.array([[0.0, 0.0, np.inf], [0.0, 0.0, 0.0]])),
+        _with(covariances=np.stack([np.eye(3), np.full((3, 3), np.nan)])),
+        _with(covariances=np.stack([np.eye(3), np.zeros((3, 3))])),
+        _with(covariances=np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])),
+        _with(covariances=np.stack([np.eye(3), np.ones((3, 3))])),  # singular
+        _with(covariances=np.stack([np.eye(3), np.eye(3) + np.triu(np.ones((3, 3)), 1)])),  # asymmetric
+        _with(means=np.full((2, 3), 1e307), covariances=np.tile(1e-6 * np.eye(3), (2, 1, 1))),
+        _with(means=[["a", "b", "c"], ["d", "e", "f"]]),
+    ],
+    ids=[
+        "weights-2d", "no-components", "means-k-by-2", "means-k-mismatch", "covs-2x2", "covs-unstacked",
+        "weight-nan", "weight-negative", "weights-all-zero", "mean-inf", "cov-nan", "cov-zero",
+        "cov-indefinite", "cov-singular", "cov-asymmetric", "whitened-overflow", "means-text",
+    ],
+)
+def test_color_gmm_rejects_bad_parameters(fields):
+    with pytest.raises(InvalidRaster):
+        ColorGmm(**fields)
+
+
+def test_color_gmm_factors_once_at_construction(monkeypatch):
+    calls = {"cholesky": 0, "inv": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    gmm = ColorGmm(**_GOOD)
+    assert calls == {"cholesky": 1, "inv": 1}
+    px = np.random.default_rng(0).uniform(-3, 3, (20, 3))
+    gmm.log_likelihood(px)
+    gmm._scores(px)
+    assert calls == {"cholesky": 1, "inv": 1}
+
+
 def test_gmm_too_few_pixels():
     with pytest.raises(TooFewPixels):
         fit_gmm(np.zeros((2, 3)), 5, 0)
+    with pytest.raises(InvalidRaster):
+        fit_gmm(np.zeros((2, 3)), 0, 0)
 
 
 # --- max flow ---

@@ -197,6 +197,33 @@ def test_failed_write_of_a_later_file_replaces_none(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotdot"])
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_two_items_naming_one_file_write_nothing(tmp_path, spelling, existing):
+    target = tmp_path / "x.pgm"
+    (tmp_path / "d").mkdir()
+    other = target if spelling == "same" else tmp_path / "d" / ".." / "x.pgm"
+    if existing:
+        target.write_bytes(b"old bytes")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(IoFailure, match=r"x\.pgm"):
+        tensorio._write_files([(tmp_path / "y.pgm", b"y"), (target, b"labels"), (other, b"trace")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if existing:
+        assert target.read_bytes() == b"old bytes"
+
+
+def test_a_symlink_and_its_target_are_two_files(tmp_path):
+    target = tmp_path / "x.pgm"
+    link = tmp_path / "link.pgm"
+    link.symlink_to(target)
+    (tmp_path / "sub").symlink_to(tmp_path, target_is_directory=True)
+    with pytest.raises(IoFailure, match="same file"):
+        tensorio._write_files([(target, b"a"), (tmp_path / "sub" / "x.pgm", b"b")])
+    tensorio._write_files([(target, b"a"), (link, b"b")])  # the link itself is replaced
+    assert target.read_bytes() == b"a" and not link.is_symlink() and link.read_bytes() == b"b"
+
+
 def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
     plain = tmp_path / "plain"
     with open(plain, "wb"):

@@ -4,9 +4,18 @@ Averaging class probabilities, not logits: softmax is scale-sensitive, so
 models with different logit temperatures would dominate a logit average.
 Members trained at different resolutions are bilinearly resized to a common
 grid first.
+
+Every step works on whole tensors in place: the softmax subtracts, exponentiates
+and normalises one float64 copy of the logits; the resize interpolates
+columns over every source row, then rows of that column pass; the ensemble
+sums into the first member's probabilities. Each product and sum is the one
+a gather-per-corner formulation takes, in the same order, so the results
+are the same bytes.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -14,11 +23,27 @@ from .errors import ChannelMismatch, EmptyInput, InvalidRaster
 from .tensorio import ensure_logits
 
 
+def _softmax(lg: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0 of validated float32 logits, in a new float64 array."""
+    z = lg.astype(np.float64)
+    z -= z.max(axis=0, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0, keepdims=True)
+    return z
+
+
 def softmax_map(logits) -> np.ndarray:
     """Per-pixel softmax of a (C, H, W) logits tensor, in float64."""
-    lg = ensure_logits(logits).astype(np.float64)
-    z = np.exp(lg - lg.max(axis=0, keepdims=True))
-    return z / z.sum(axis=0, keepdims=True)
+    return _softmax(ensure_logits(logits))
+
+
+def _axis_coords(n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Low and high source index and the high weight of each output index."""
+    src = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
+    src = np.clip(src, 0.0, n_src - 1.0)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, n_src - 1)
+    return lo, hi, src - lo
 
 
 def resize_bilinear(tensor, out_height: int, out_width: int) -> np.ndarray:
@@ -31,26 +56,27 @@ def resize_bilinear(tensor, out_height: int, out_width: int) -> np.ndarray:
     a = np.asarray(tensor, dtype=np.float64)
     if a.ndim != 3:
         raise InvalidRaster(f"expected a (C, H, W) tensor, got shape {a.shape}")
-    c, h, w = a.shape
+    h, w = a.shape[1:]
     if out_height < 1 or out_width < 1:
         raise InvalidRaster("output size must be at least 1 x 1")
     if (h, w) == (out_height, out_width):
         return a.copy()
 
-    def axis_coords(n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        src = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
-        src = np.clip(src, 0.0, n_src - 1.0)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, n_src - 1)
-        return lo, hi, src - lo
-
-    r0, r1, fr = axis_coords(h, out_height)
-    c0, c1, fc = axis_coords(w, out_width)
-    fr = fr[:, None]
-    fc = fc[None, :]
-    top = a[:, r0][:, :, c0] * (1 - fc) + a[:, r0][:, :, c1] * fc
-    bot = a[:, r1][:, :, c0] * (1 - fc) + a[:, r1][:, :, c1] * fc
-    return top * (1 - fr) + bot * fr
+    r0, r1, fr = _axis_coords(h, out_height)
+    c0, c1, fc = _axis_coords(w, out_width)
+    # columns first, over every source row: rows r0 and r1 of this pass are
+    # the top and bottom rows of each output pixel's four-corner blend
+    cols = np.take(a, c0, axis=2)
+    cols *= 1 - fc
+    right = np.take(a, c1, axis=2)
+    right *= fc
+    cols += right
+    out = np.take(cols, r0, axis=1)
+    out *= (1 - fr)[:, None]
+    bot = np.take(cols, r1, axis=1)
+    bot *= fr[:, None]
+    out += bot
+    return out
 
 
 def ensemble_probabilities(
@@ -61,7 +87,7 @@ def ensemble_probabilities(
     Members must share the channel count; spatial sizes may differ and are
     resized to (out_height, out_width), defaulting to the first member's
     grid. Averaging follows the order of the input list, so the result is
-    deterministic for a fixed argument order.
+    deterministic for a fixed argument order. The members are not modified.
     """
     tensors = [ensure_logits(t) for t in logits_list]
     if not tensors:
@@ -70,13 +96,21 @@ def ensemble_probabilities(
     for t in tensors[1:]:
         if t.shape[0] != c:
             raise ChannelMismatch(f"members disagree on classes: {c} vs {t.shape[0]}")
-    oh = out_height if out_height is not None else tensors[0].shape[1]
-    ow = out_width if out_width is not None else tensors[0].shape[2]
+    # integer sizes only (TypeError otherwise): 6.0 would pass the grid test below
+    oh = operator.index(out_height if out_height is not None else tensors[0].shape[1])
+    ow = operator.index(out_width if out_width is not None else tensors[0].shape[2])
 
-    acc = np.zeros((c, oh, ow), dtype=np.float64)
+    acc = None
     for t in tensors:
-        acc += resize_bilinear(softmax_map(t), oh, ow)
-    return acc / len(tensors)
+        p = _softmax(t)  # a fresh array: summing into it leaves the member alone
+        if p.shape[1:] != (oh, ow):
+            p = resize_bilinear(p, oh, ow)
+        if acc is None:
+            acc = p
+        else:
+            acc += p
+    acc /= len(tensors)
+    return acc
 
 
 def ensemble_argmax(

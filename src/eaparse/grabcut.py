@@ -84,7 +84,9 @@ class GrabcutParams:
             raise InvalidRaster(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-@dataclass(frozen=True)
+# dataclasses with ndarray fields use eq=False: they compare and hash by
+# identity, since an elementwise == has no single truth value
+@dataclass(frozen=True, eq=False)
 class Trimap:
     """Per-pixel states in {TRIMAP_BG, TRIMAP_PROB_BG, TRIMAP_PROB_FG, TRIMAP_FG}."""
 
@@ -130,7 +132,7 @@ def build_trimap(init, params: GrabcutParams) -> Trimap:
     return Trimap(data=data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorGmm:
     """A K-component full-covariance Gaussian mixture over RGB.
 
@@ -148,10 +150,10 @@ class ColorGmm:
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, 3)
     covariances: np.ndarray  # (K, 3, 3)
-    _whiten: np.ndarray = field(init=False, repr=False, compare=False)  # (3, 3K)
-    _white_means: np.ndarray = field(init=False, repr=False, compare=False)  # (3K,)
-    _block_sum: np.ndarray = field(init=False, repr=False, compare=False)  # (3K, K)
-    _log_norm: np.ndarray = field(init=False, repr=False, compare=False)  # (K,)
+    _whiten: np.ndarray = field(init=False, repr=False)  # (3, 3K)
+    _white_means: np.ndarray = field(init=False, repr=False)  # (3K,)
+    _block_sum: np.ndarray = field(init=False, repr=False)  # (3K, K)
+    _log_norm: np.ndarray = field(init=False, repr=False)  # (K,)
 
     def __post_init__(self):
         try:
@@ -315,7 +317,7 @@ def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
 # --- grid graph and max-flow ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridGraph:
     """An s-t network over the ambiguous pixels.
 

@@ -6,6 +6,14 @@ pixel matches when the other map has a boundary pixel within a tolerance
 radius. Frames where a class appears in neither map are skipped, not scored:
 scoring an absent class as perfect would inflate averages, scoring it as
 zero would punish correct rejections.
+
+Scoring takes one pass per frame for all classes at once: J comes from one
+confusion count of (prediction, ground truth) label pairs, and F from a
+stack of per-class masks of each map, cropped to the bounding box of every
+label change in either map. Every class boundary lies inside that box, and
+so does every differing neighbor of a pixel in it, so the crop changes no
+boundary pixel and no count. ``region_jaccard`` and ``boundary_f`` are the
+one-class case of the same code.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import dilate_mask, extract_boundary
+from .boundary import _disk_morph, _edges
 from .errors import EmptyInput, NoClassEverPresent, ShapeMismatch
 from .tensorio import ensure_label_map
 
@@ -30,16 +38,69 @@ def default_tolerance(height: int, width: int) -> int:
     return max(1, int(math.floor(0.008 * diag + 0.5)))
 
 
-def region_jaccard(pred, gt, class_id: int) -> float | None:
-    """|pred ∩ gt| / |pred ∪ gt| for one class; None when both are empty."""
-    p = ensure_label_map(pred) == class_id
-    g = ensure_label_map(gt) == class_id
+def _label_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    p = ensure_label_map(pred)
+    g = ensure_label_map(gt)
     if p.shape != g.shape:
         raise ShapeMismatch(f"prediction shape {p.shape} != ground truth shape {g.shape}")
-    union = int((p | g).sum())
-    if union == 0:
-        return None
-    return float(int((p & g).sum()) / union)
+    return p, g
+
+
+def _jaccards(p: np.ndarray, g: np.ndarray, class_ids) -> list[float | None]:
+    """J of each class of one frame, from one confusion count; None when absent."""
+    conf = np.bincount((p.astype(np.intp) << 8 | g).ravel(), minlength=65536).reshape(256, 256)
+    inter = conf.diagonal().tolist()
+    union = (conf.sum(axis=1) + conf.sum(axis=0)).tolist()
+    out = []
+    for c in class_ids:
+        u = union[c] - inter[c] if 0 <= c < 256 else 0
+        out.append(inter[c] / u if u else None)
+    return out
+
+
+def _boundary_fs(p: np.ndarray, g: np.ndarray, class_ids, tolerance: int) -> list[float | None]:
+    """F of each class of one frame, all classes in one stack; None when absent."""
+    changes = _edges(p) | _edges(g)
+    rows = np.flatnonzero(changes.any(axis=1))
+    if rows.size == 0:
+        return [None] * len(class_ids)
+    cols = np.flatnonzero(changes.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    ids = sorted({c for c in class_ids if 0 <= c < 256})
+    stack = np.array(ids, dtype=np.uint8)[:, None, None]
+    bp = _edges(p[box] == stack)
+    bg = _edges(g[box] == stack)
+    n_p = bp.sum(axis=(1, 2))
+    n_g = bg.sum(axis=(1, 2))
+    hit_p = np.zeros_like(n_p)
+    hit_g = np.zeros_like(n_g)
+    both = (n_p > 0) & (n_g > 0)
+    if both.any():
+        bp, bg = bp[both], bg[both]
+        hit_p[both] = (bp & _disk_morph(bg, tolerance, erode=False)).sum(axis=(1, 2))
+        hit_g[both] = (bg & _disk_morph(bp, tolerance, erode=False)).sum(axis=(1, 2))
+    counts = dict(zip(ids, zip(n_p.tolist(), n_g.tolist(), hit_p.tolist(), hit_g.tolist())))
+
+    out = []
+    for c in class_ids:
+        np_, ng, tp_p, tp_g = counts.get(c, (0, 0, 0, 0))
+        if np_ == 0 and ng == 0:
+            out.append(None)
+        elif np_ == 0 or ng == 0:
+            out.append(0.0)
+        else:
+            precision = tp_p / np_
+            recall = tp_g / ng
+            if precision + recall == 0:
+                out.append(0.0)
+            else:
+                out.append(2.0 * precision * recall / (precision + recall))
+    return out
+
+
+def region_jaccard(pred, gt, class_id: int) -> float | None:
+    """|pred ∩ gt| / |pred ∪ gt| for one class; None when both are empty."""
+    return _jaccards(*_label_pair(pred, gt), [class_id])[0]
 
 
 def boundary_f(pred, gt, class_id: int, tolerance: int | None = None) -> float | None:
@@ -49,26 +110,10 @@ def boundary_f(pred, gt, class_id: int, tolerance: int | None = None) -> float |
     one side does. Precision counts predicted boundary pixels within the
     tolerance of some ground-truth boundary pixel, recall the reverse.
     """
-    p = ensure_label_map(pred)
-    g = ensure_label_map(gt)
-    if p.shape != g.shape:
-        raise ShapeMismatch(f"prediction shape {p.shape} != ground truth shape {g.shape}")
+    p, g = _label_pair(pred, gt)
     if tolerance is None:
         tolerance = default_tolerance(*p.shape)
-    bp = extract_boundary((p == class_id).astype(np.uint8)).astype(bool)
-    bg = extract_boundary((g == class_id).astype(np.uint8)).astype(bool)
-    np_, ng = int(bp.sum()), int(bg.sum())
-    if np_ == 0 and ng == 0:
-        return None
-    if np_ == 0 or ng == 0:
-        return 0.0
-    gt_zone = dilate_mask(bg.astype(np.uint8), tolerance).astype(bool)
-    pred_zone = dilate_mask(bp.astype(np.uint8), tolerance).astype(bool)
-    precision = int((bp & gt_zone).sum()) / np_
-    recall = int((bg & pred_zone).sum()) / ng
-    if precision + recall == 0:
-        return 0.0
-    return float(2.0 * precision * recall / (precision + recall))
+    return _boundary_fs(p, g, [class_id], tolerance)[0]
 
 
 @dataclass
@@ -125,14 +170,18 @@ def evaluate_frames(
     if len(preds) != len(gts):
         raise ShapeMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
     class_ids = [int(c) for c in class_ids]
+    if not class_ids:  # nothing to score, and no frame is read
+        raise NoClassEverPresent("no requested class appears in any frame")
     j_scores: dict[int, list[float]] = {c: [] for c in class_ids}
     f_scores: dict[int, list[float]] = {c: [] for c in class_ids}
     for pred, gt in zip(preds, gts):
-        for c in class_ids:
-            j = region_jaccard(pred, gt, c)
+        p, g = _label_pair(pred, gt)
+        tol = default_tolerance(*p.shape) if tolerance is None else tolerance
+        js = _jaccards(p, g, class_ids)
+        fs = _boundary_fs(p, g, class_ids, tol)
+        for c, j, f in zip(class_ids, js, fs):
             if j is not None:
                 j_scores[c].append(j)
-            f = boundary_f(pred, gt, c, tolerance)
             if f is not None:
                 f_scores[c].append(f)
 

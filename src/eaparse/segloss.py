@@ -21,7 +21,9 @@ from .errors import EmptyMask, LabelOutOfRange, MissingGradient, ShapeMismatch
 from .tensorio import ensure_binary_mask, ensure_label_map, ensure_logits
 
 
-@dataclass(frozen=True)
+# eq=False: compared and hashed by identity, as the gradient array has no
+# single truth value under ==
+@dataclass(frozen=True, eq=False)
 class LossResult:
     """A scalar loss, how many pixels produced it, and optionally its gradient."""
 

@@ -257,7 +257,7 @@ def read_logits(path) -> np.ndarray:
     values = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(f"{path}: payload contains NaN or Inf")
-    return values.astype(np.float32).copy()
+    return values.astype(np.float32)
 
 
 def write_logits(logits, path) -> None:

@@ -12,7 +12,15 @@ The first two forms import ``eaparse`` from ``--src`` (by default the
   seeds 1-3, on the clip ``bench/gen.py`` writes for it;
 * ``fit_gmm/<i>``: the weights, means and covariances of seeded random
   mixture fits;
-* ``grabcut_refine/<i>``: the refined masks of seeded random scenes.
+* ``grabcut_refine/<i>``: the refined masks of seeded random scenes;
+* ``resize_bilinear/<i>``: seeded random tensors resized up, down, up one
+  way and down the other, to or from 1-pixel sides, or to their own size;
+* ``ensemble_probabilities/<i>``: the fused probabilities of one to four
+  seeded random members of mixed sizes;
+* ``morphology/<i>``: the disk dilation and erosion of a seeded random mask,
+  at a radius from 0 to beyond h + w;
+* ``evaluate_frames/<i>``: the report JSON of seeded random multi-class
+  frame lists, at tolerances from 0 to beyond h + w.
 
 The random cases include quantised colours with exact ties, one-colour
 frames and dilate radii from 0 to 8. ``--compare`` prints, per
@@ -130,6 +138,70 @@ def grabcut_prints(ea) -> dict[str, str]:
     return out
 
 
+def _random_side_pair(rng: np.random.Generator, style: int) -> tuple[int, int]:
+    n = int(rng.integers(1, 40))
+    if style == 0:
+        return n, n
+    if style == 1:
+        return n, int(rng.integers(n, 3 * n + 2))
+    if style == 2:
+        return n, int(rng.integers(1, n + 1))
+    return (1, n) if rng.random() < 0.5 else (n, 1)
+
+
+def fusion_prints(ea) -> dict[str, str]:
+    rng = np.random.default_rng(20210621)
+    out = {}
+    for i in range(N_RANDOM):
+        (h, oh), (w, ow) = _random_side_pair(rng, i % 4), _random_side_pair(rng, (i // 4) % 4)
+        c = int(rng.integers(1, 12))
+        a = rng.normal(0, 4, (c, h, w)).astype(np.float32 if i % 2 else np.float64)
+        out[f"resize_bilinear/{i:03d}"] = _digest_arrays(ea.resize_bilinear(a, oh, ow))
+        members = [a.astype(np.float32)]
+        for _ in range(int(rng.integers(0, 4))):
+            size = (h, w) if rng.random() < 0.5 else tuple(int(v) for v in rng.integers(1, 40, 2))
+            members.append(rng.normal(0, 3, (c,) + size).astype(np.float32))
+        size = (oh, ow) if i % 3 else ()
+        out[f"ensemble_probabilities/{i:03d}"] = _digest_arrays(ea.ensemble_probabilities(members, *size))
+    return out
+
+
+def morphology_prints(ea) -> dict[str, str]:
+    rng = np.random.default_rng(20210622)
+    out = {}
+    for i in range(N_RANDOM):
+        h, w = (int(v) for v in rng.integers(1, 48, 2))
+        m = (rng.random((h, w)) < rng.uniform(0.02, 0.98)).astype(np.uint8)
+        radius = int(rng.integers(0, 12)) if i % 2 else int(rng.integers(0, h + w + 4))
+        out[f"morphology/{i:03d}"] = _digest_arrays(ea.dilate_mask(m, radius), ea.erode_mask(m, radius))
+    return out
+
+
+def _random_labels(rng: np.random.Generator, h: int, w: int, n: int) -> np.ndarray:
+    if rng.random() < 0.3:
+        return rng.integers(0, n, (h, w)).astype(np.uint8)
+    blocks = rng.integers(0, n, (h // 5 + 1, w // 5 + 1))
+    return np.kron(blocks, np.ones((5, 5), dtype=np.int64))[:h, :w].astype(np.uint8)
+
+
+def eval_prints(ea) -> dict[str, str]:
+    rng = np.random.default_rng(20210623)
+    out = {}
+    for i in range(N_RANDOM):
+        h, w = (int(v) for v in rng.integers(1, 64, 2))
+        n = int(rng.integers(1, 12))
+        preds = [_random_labels(rng, h, w, n) for _ in range(int(rng.integers(1, 4)))]
+        gts = [np.where(rng.random((h, w)) < 0.1, _random_labels(rng, h, w, n), p) for p in preds]
+        class_ids = [int(c) for c in rng.choice(n + 2, size=int(rng.integers(1, n + 3)), replace=False)]
+        tolerance = [None, 0, 1, 2, 3, h + w + 1][i % 6]
+        try:
+            text = json.dumps(ea.evaluate_frames(preds, gts, class_ids, tolerance).to_json_dict())
+        except ea.NoClassEverPresent as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        out[f"evaluate_frames/{i:03d}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a = json.loads(a_path.read_text(encoding="utf-8"))
     b = json.loads(b_path.read_text(encoding="utf-8"))
@@ -165,7 +237,14 @@ def main(argv=None) -> int:
     import eaparse as ea
     from eaparse import cli
 
-    prints = {**pipeline_prints(cli, gen), **gmm_prints(ea), **grabcut_prints(ea)}
+    prints = {
+        **pipeline_prints(cli, gen),
+        **gmm_prints(ea),
+        **grabcut_prints(ea),
+        **fusion_prints(ea),
+        **morphology_prints(ea),
+        **eval_prints(ea),
+    }
     args.out.write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(prints)} fingerprints of {Path(ea.__file__).parent} written to {args.out}")
     return 0

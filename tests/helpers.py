@@ -107,6 +107,86 @@ def oracle_boundary_f(pred: np.ndarray, gt: np.ndarray, class_id: int, tolerance
     return 2.0 * precision * recall / (precision + recall)
 
 
+def oracle_evaluate_frames(preds, gts, class_ids, tolerance=None) -> dict:
+    """``evaluate_frames(...).to_json_dict()`` by a per-class, per-frame loop
+    over :func:`oracle_jaccard` and :func:`oracle_boundary_f`, with the
+    library's aggregation: value-sorted means, classes weighted equally."""
+    j_scores = {int(c): [] for c in class_ids}
+    f_scores = {int(c): [] for c in class_ids}
+    for pred, gt in zip(preds, gts):
+        tol = ea.default_tolerance(*pred.shape) if tolerance is None else tolerance
+        for c in class_ids:
+            c = int(c)
+            j = oracle_jaccard(pred, gt, c)
+            if j is not None:
+                j_scores[c].append(j)
+            f = oracle_boundary_f(pred, gt, c, tol)
+            if f is not None:
+                f_scores[c].append(f)
+    scored = [(c, j_scores[c], f_scores[c]) for c in (int(c) for c in class_ids) if j_scores[c]]
+    if not scored:
+        return None  # evaluate_frames raises NoClassEverPresent
+    per_class = {}
+    for c, js, fs in scored:  # a repeated id is one JSON key but weighs once per repeat
+        mf = float(np.mean(np.sort(fs))) if fs else 0.0
+        per_class[str(c)] = {"J": float(np.mean(np.sort(js))), "F": mf, "frames": len(js)}
+    mean_j = float(np.mean([per_class[str(c)]["J"] for c, _, _ in scored]))
+    f_classes = [per_class[str(c)]["F"] for c, _, fs in scored if fs]
+    mean_f = float(np.mean(f_classes)) if f_classes else 0.0
+    return {"per_class": per_class, "mean_J": mean_j, "mean_F": mean_f, "J_and_F": (mean_j + mean_f) / 2.0}
+
+
+# --- ensemble oracles: one allocation per step, four gathers per resize ---
+
+
+def oracle_softmax_map(logits) -> np.ndarray:
+    lg = ea.ensure_logits(logits).astype(np.float64)
+    z = np.exp(lg - lg.max(axis=0, keepdims=True))
+    return z / z.sum(axis=0, keepdims=True)
+
+
+def oracle_resize_bilinear(tensor, out_height: int, out_width: int) -> np.ndarray:
+    """Each output pixel blends its four source corners, gathered per corner."""
+    a = np.asarray(tensor, dtype=np.float64)
+    if a.ndim != 3:
+        raise ea.InvalidRaster(f"expected a (C, H, W) tensor, got shape {a.shape}")
+    h, w = a.shape[1:]
+    if out_height < 1 or out_width < 1:
+        raise ea.InvalidRaster("output size must be at least 1 x 1")
+    if (h, w) == (out_height, out_width):
+        return a.copy()
+
+    def axis_coords(n_src: int, n_dst: int):
+        src = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
+        src = np.clip(src, 0.0, n_src - 1.0)
+        lo = np.floor(src).astype(np.int64)
+        return lo, np.minimum(lo + 1, n_src - 1), src - lo
+
+    r0, r1, fr = axis_coords(h, out_height)
+    c0, c1, fc = axis_coords(w, out_width)
+    fr = fr[:, None]
+    fc = fc[None, :]
+    top = a[:, r0][:, :, c0] * (1 - fc) + a[:, r0][:, :, c1] * fc
+    bot = a[:, r1][:, :, c0] * (1 - fc) + a[:, r1][:, :, c1] * fc
+    return top * (1 - fr) + bot * fr
+
+
+def oracle_ensemble_probabilities(logits_list, out_height=None, out_width=None) -> np.ndarray:
+    tensors = [ea.ensure_logits(t) for t in logits_list]
+    if not tensors:
+        raise ea.EmptyInput("ensemble needs at least one member")
+    c = tensors[0].shape[0]
+    for t in tensors[1:]:
+        if t.shape[0] != c:
+            raise ea.ChannelMismatch(f"members disagree on classes: {c} vs {t.shape[0]}")
+    oh = out_height if out_height is not None else tensors[0].shape[1]
+    ow = out_width if out_width is not None else tensors[0].shape[2]
+    acc = np.zeros((c, oh, ow), dtype=np.float64)
+    for t in tensors:
+        acc += oracle_resize_bilinear(oracle_softmax_map(t), oh, ow)
+    return acc / len(tensors)
+
+
 # --- min-cut oracle ---
 
 

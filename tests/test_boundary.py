@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 import eaparse as ea
+from eaparse import boundary
 
 
 def test_uniform_map_has_no_boundary():
@@ -105,3 +106,35 @@ def test_edge_attention_mask_superset_of_boundary():
     for radius in (0, 1, 2, 3):
         band = ea.edge_attention_mask(m, radius)
         assert ((ea.extract_boundary(m) == 1) <= (band == 1)).all()
+
+
+def test_row_run_morphology_matches_oracles_on_random_frames():
+    rng = np.random.default_rng(14)
+    for i in range(120):
+        h, w = (int(v) for v in rng.integers(1, 9, 2))
+        if i % 10 == 0:  # one-pixel rows and columns
+            h, w = (1, w) if i % 20 else (h, 1)
+        m = (rng.random((h, w)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        radius = int(rng.integers(0, h + w + 3))
+        assert (ea.dilate_mask(m, radius) == helpers.oracle_dilate(m, radius)).all()
+        assert (ea.erode_mask(m, radius) == helpers.oracle_erode(m, radius)).all()
+
+
+def test_morphology_of_a_stack_is_per_slice():
+    rng = np.random.default_rng(15)
+    for radius in (0, 1, 2, 3, 7, 40):
+        stack = rng.random((4, 9, 11)) < 0.3
+        for erode in (False, True):
+            got = boundary._disk_morph(stack, radius, erode)
+            assert got.shape == stack.shape and got.dtype == bool
+            for m, g in zip(stack, got):
+                assert (g == boundary._disk_morph(m, radius, erode)).all()
+
+
+def test_negative_radius_raises_for_both_operations():
+    m = np.ones((3, 3), dtype=np.uint8)
+    for op in (ea.dilate_mask, ea.erode_mask):
+        with pytest.raises(ea.InvalidRaster):
+            op(m, -1)
+        with pytest.raises(ea.InvalidRaster):
+            op(np.zeros((1, 1), dtype=np.uint8), -5)

@@ -1080,6 +1080,31 @@ def test_pipeline_frame_error_is_the_same_for_any_jobs(capsys, tmp_path):
     assert errors[0] == errors[1]
 
 
+def test_pipeline_nan_in_a_low_resolution_member_is_exit_2_for_any_jobs(capsys, tmp_path):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    lowres = tmp_path / "clip" / "lowres"
+    lowres.mkdir()
+    for member in sorted(paths["clean"].iterdir()):
+        # half resolution: the ensemble resizes this member back up
+        ea.write_logits(ea.read_logits(member)[:, ::2, ::2], lowres / member.name)
+    code, _, _ = run(capsys, *_pipeline_argv(paths, tmp_path / "ok"), "--logits-dir", str(lowres))
+    assert code == 0
+    bad = lowres / "001__0.fplt"
+    logits = ea.read_logits(bad)
+    logits[1, 3, 2] = np.nan  # write_logits refuses NaN, so the file is built by hand
+    bad.write_bytes(b"FPLT" + np.array([1, *logits.shape], dtype="<u4").tobytes() + logits.astype("<f4").tobytes())
+    errors = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        argv = _pipeline_argv(paths, out_dir) + ["--logits-dir", str(lowres)]
+        code, _, err = run(capsys, "--jobs", jobs, *argv)
+        assert code == 2
+        assert err.startswith("error: frame 001: ") and "Traceback" not in err
+        assert not out_dir.exists()
+        errors.append(err.replace(str(out_dir), "OUT"))
+    assert errors[0] == errors[1]
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records how it was built, maps in-process."""
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import helpers
 import eaparse as ea
 from eaparse.errors import ChannelMismatch, EmptyInput, InvalidRaster
 
@@ -106,3 +107,117 @@ def test_ensemble_error_cases():
         ea.ensemble_probabilities([a, b])
     with pytest.raises(InvalidRaster):
         ea.resize_bilinear(np.zeros((2, 2)), 3, 3)
+
+
+# --- byte equality with the allocate-per-step oracles ---
+
+
+def _random_sizes(rng, i):
+    """Source and target sides: up-, down- and mixed scaling, 1-pixel sides, same size."""
+    h, w = (int(v) for v in rng.integers(1, 24, 2))
+    kind = i % 6
+    if kind == 0:
+        return (h, w), (h, w)
+    if kind == 1:
+        return (h, w), (int(rng.integers(h, 3 * h + 2)), int(rng.integers(w, 3 * w + 2)))
+    if kind == 2:
+        return (h, w), (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1)))
+    if kind == 3:
+        return (h, w), (int(rng.integers(1, h + 1)), int(rng.integers(w, 3 * w + 2)))
+    if kind == 4:
+        return (1, w), (int(rng.integers(1, 9)), 1)
+    return (h, 1), (1, int(rng.integers(1, 9)))
+
+
+def _bytes(a: np.ndarray):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def test_resize_and_softmax_match_oracles_byte_for_byte():
+    rng = np.random.default_rng(14)
+    for i in range(240):
+        (h, w), (oh, ow) = _random_sizes(rng, i)
+        c = 1 if i % 4 == 0 else int(rng.integers(2, 12))
+        dtype = np.float32 if i % 2 else np.float64
+        a = rng.normal(0, 4, (c, h, w)).astype(dtype)
+        assert _bytes(ea.resize_bilinear(a, oh, ow)) == _bytes(helpers.oracle_resize_bilinear(a, oh, ow))
+        assert _bytes(ea.softmax_map(a)) == _bytes(helpers.oracle_softmax_map(a))
+
+
+def test_ensemble_matches_oracle_byte_for_byte():
+    rng = np.random.default_rng(15)
+    for i in range(240):
+        (h, w), (oh, ow) = _random_sizes(rng, i)
+        c = 1 if i % 4 == 0 else int(rng.integers(2, 12))
+        members = [rng.normal(0, 3, (c, h, w)).astype(np.float32)]
+        for _ in range(int(rng.integers(0, 4))):
+            size = (h, w) if rng.random() < 0.5 else tuple(int(v) for v in rng.integers(1, 24, 2))
+            members.append(rng.normal(0, 3, (c,) + size).astype(np.float32))
+        size = () if i % 3 == 0 else (oh, ow)
+        got = ea.ensemble_probabilities(members, *size)
+        assert _bytes(got) == _bytes(helpers.oracle_ensemble_probabilities(members, *size))
+
+
+def _outcome(fn, *args):
+    try:
+        with np.errstate(all="ignore"):  # resize_bilinear passes NaN and Inf through
+            return _bytes(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+BAD_MEMBERS = {
+    "nan": np.array([[[0.0, np.nan]], [[1.0, 2.0]]], dtype=np.float32),
+    "inf": np.array([[[0.0, np.inf]], [[1.0, 2.0]]], dtype=np.float64),
+    "ndim-2": np.zeros((3, 3), dtype=np.float32),
+    "ndim-4": np.zeros((1, 2, 3, 3), dtype=np.float32),
+    "integer": np.zeros((2, 3, 3), dtype=np.int32),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MEMBERS.values(), ids=BAD_MEMBERS.keys())
+def test_bad_inputs_raise_as_the_oracles_do(bad):
+    good = np.zeros((2, 1, 2), dtype=np.float32)
+    assert _outcome(ea.softmax_map, bad) == _outcome(helpers.oracle_softmax_map, bad)
+    assert _outcome(ea.softmax_map, bad) == InvalidRaster
+    assert _outcome(ea.resize_bilinear, bad, 2, 3) == _outcome(helpers.oracle_resize_bilinear, bad, 2, 3)
+    for members in ([bad], [good, bad], [bad, good]):
+        assert _outcome(ea.ensemble_probabilities, members) == InvalidRaster
+        assert _outcome(helpers.oracle_ensemble_probabilities, members) == InvalidRaster
+
+
+def test_channel_mismatch_and_bad_sizes_raise_as_the_oracles_do():
+    a = np.zeros((2, 3, 3), dtype=np.float32)
+    b = np.zeros((3, 2, 2), dtype=np.float32)
+    for args in (([a, b],), ([a, b], 4, 4), ([a, a], 0, 3), ([a, b[:, :1]], 3, 0), ([],), ([a], 3.0, 3), ([a], 2.5, 4)):
+        assert _outcome(ea.ensemble_probabilities, *args) == _outcome(helpers.oracle_ensemble_probabilities, *args)
+    assert _outcome(ea.ensemble_probabilities, [a, b]) == ChannelMismatch
+    assert _outcome(ea.ensemble_probabilities, [a], 3.0, 3) == TypeError
+    for size in ((0, 3), (3, 0), (-1, 2)):
+        assert _outcome(ea.resize_bilinear, a, *size) == InvalidRaster
+
+
+def test_ensemble_leaves_members_unchanged():
+    rng = np.random.default_rng(16)
+    members = [
+        rng.normal(0, 2, (3, 5, 4)).astype(np.float32),
+        rng.normal(0, 2, (3, 5, 4)).astype(np.float64),
+        rng.normal(0, 2, (3, 3, 2)).astype(np.float32),
+        rng.normal(0, 2, (3, 5, 4)).astype(np.float32),
+    ]
+    before = [_bytes(m) for m in members]
+    for size in ((), (5, 4), (7, 9)):
+        probs = ea.ensemble_probabilities(members, *size)
+        probs[...] = -1.0  # writing to the result reaches no member either
+        assert [_bytes(m) for m in members] == before
+    for m in members:
+        ea.softmax_map(m)
+        ea.resize_bilinear(m, 5, 4)
+        assert [_bytes(m) for m in members] == before
+
+
+def test_same_size_resize_copies_float64_input():
+    a = np.random.default_rng(17).uniform(0, 1, (2, 3, 5))
+    out = ea.resize_bilinear(a, 3, 5)
+    assert out is not a and not np.shares_memory(out, a)
+    assert _bytes(out) == _bytes(a)

@@ -827,3 +827,25 @@ def test_params_validation():
             ea.GrabcutParams(gamma=gamma)
     with pytest.raises(InvalidRaster):
         ea.GrabcutParams(rng_seed=-1)
+
+
+# --- identity semantics of the array-holding dataclasses ---
+
+
+def _assert_identity_semantics(make):
+    a, b = make(), make()
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert hash(a) == hash(a)
+    assert {a, b, a} == {a, b} and len({a, b}) == 2
+    assert a in {a} and b not in {a}
+
+
+def test_array_dataclasses_compare_and_hash_by_identity():
+    px = np.random.default_rng(0).uniform(0, 255, (60, 3))
+    _assert_identity_semantics(lambda: fit_gmm(px, 2, 0))
+    mask = helpers.disk_mask()
+    _assert_identity_semantics(lambda: build_trimap(mask, ea.GrabcutParams()))
+    _assert_identity_semantics(
+        lambda: GridGraph(np.ones(2), np.ones(2), np.array([[0, 1]], dtype=np.int64), np.ones(1))
+    )

@@ -1,11 +1,13 @@
 """Region and boundary scores against brute-force oracles and edge rules."""
 
+import json
+
 import numpy as np
 import pytest
 
 import helpers
 import eaparse as ea
-from eaparse.errors import EmptyInput, NoClassEverPresent, ShapeMismatch
+from eaparse.errors import EmptyInput, InvalidRaster, NoClassEverPresent, ShapeMismatch
 
 
 def test_jaccard_hand_cases():
@@ -128,3 +130,58 @@ def test_evaluate_frames_error_cases():
         ea.evaluate_frames([gt], [gt], [5])
     with pytest.raises(ShapeMismatch):
         ea.region_jaccard(gt, np.zeros((5, 5), dtype=np.uint8), 0)
+
+
+def _random_frame(rng, h, w, n_classes, style):
+    if style == 0:  # salt and pepper: label changes everywhere, edges included
+        return rng.integers(0, n_classes, (h, w)).astype(np.uint8)
+    if style == 1:  # blocks
+        blocks = rng.integers(0, n_classes, (h // 3 + 1, w // 3 + 1))
+        return np.kron(blocks, np.ones((3, 3), dtype=np.int64))[:h, :w].astype(np.uint8)
+    frame = np.full((h, w), rng.integers(0, n_classes), dtype=np.uint8)
+    if style == 2:  # one change on the frame edge
+        frame[rng.integers(0, h), 0 if rng.random() < 0.5 else w - 1] = n_classes
+    return frame  # style 3: constant, no change at all
+
+
+def test_evaluate_frames_report_is_byte_equal_to_per_class_oracle_loop():
+    rng = np.random.default_rng(14)
+    for i in range(220):
+        h, w = (1, 1) if i % 11 == 0 else tuple(int(v) for v in rng.integers(1, 11, 2))
+        n_classes = int(rng.integers(1, 5))
+        preds, gts = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            pred = _random_frame(rng, h, w, n_classes, int(rng.integers(0, 4)))
+            gt = pred.copy() if rng.random() < 0.2 else _random_frame(rng, h, w, n_classes, int(rng.integers(0, 4)))
+            preds.append(pred)
+            gts.append(gt)
+        # ids beyond the drawn labels are absent from one or both maps
+        class_ids = [int(c) for c in rng.choice(n_classes + 3, size=int(rng.integers(1, 5)), replace=False)]
+        tolerance = [None, 0, 1, 2, h + w, h + w + 7][i % 6]
+        want = helpers.oracle_evaluate_frames(preds, gts, class_ids, tolerance)
+        if want is None:
+            with pytest.raises(NoClassEverPresent):
+                ea.evaluate_frames(preds, gts, class_ids, tolerance)
+            continue
+        got = ea.evaluate_frames(preds, gts, class_ids, tolerance).to_json_dict()
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_evaluate_frames_keeps_duplicate_and_out_of_range_class_ids():
+    gt = np.zeros((6, 6), dtype=np.uint8)
+    gt[1:4, 1:5] = 1
+    pred = np.roll(gt, 1, axis=1)
+    class_ids = [1, 1, 300, -2, 0]
+    want = helpers.oracle_evaluate_frames([pred, gt], [gt, gt], class_ids, 0)
+    assert ea.evaluate_frames([pred, gt], [gt, gt], class_ids, 0).to_json_dict() == want
+    assert ea.region_jaccard(pred, gt, 300) is None and ea.boundary_f(pred, gt, -2, 1) is None
+
+
+def test_negative_tolerance_raises_only_where_a_boundary_pair_needs_it():
+    gt = np.zeros((6, 6), dtype=np.uint8)
+    gt[2:4, 2:4] = 1
+    with pytest.raises(InvalidRaster):
+        ea.boundary_f(gt, gt, 1, -1)
+    with pytest.raises(InvalidRaster):
+        ea.evaluate_frames([gt], [gt], [1], -1)
+    assert ea.boundary_f(gt, np.zeros_like(gt), 1, -1) == 0.0

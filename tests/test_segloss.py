@@ -178,3 +178,13 @@ def test_loss_error_cases():
     plain = ea.softmax_cross_entropy(logits, labels)
     with pytest.raises(MissingGradient):
         ea.total_loss(seg, plain, plain)
+
+
+def test_loss_result_compares_and_hashes_by_identity():
+    logits = np.zeros((2, 2, 2), dtype=np.float32)
+    labels = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    a = ea.softmax_cross_entropy(logits, labels, want_gradient=True)
+    b = ea.softmax_cross_entropy(logits, labels, want_gradient=True)
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    assert a in {a} and b not in {a}

@@ -57,6 +57,8 @@ def resize_bilinear(tensor, out_height: int, out_width: int) -> np.ndarray:
     if a.ndim != 3:
         raise InvalidRaster(f"expected a (C, H, W) tensor, got shape {a.shape}")
     h, w = a.shape[1:]
+    # integer sizes only (TypeError otherwise): np.arange(6.5) would give 7 rows
+    out_height, out_width = operator.index(out_height), operator.index(out_width)
     if out_height < 1 or out_width < 1:
         raise InvalidRaster("output size must be at least 1 x 1")
     if (h, w) == (out_height, out_width):

@@ -197,6 +197,16 @@ def test_channel_mismatch_and_bad_sizes_raise_as_the_oracles_do():
         assert _outcome(ea.resize_bilinear, a, *size) == InvalidRaster
 
 
+def test_resize_takes_integer_sizes_only():
+    a = np.random.default_rng(18).uniform(0, 1, (2, 6, 6))
+    for size in ((6.5, 3), (3, 6.5), (6.0, 6), (np.float64(4.0), 3)):
+        with pytest.raises(TypeError):
+            ea.resize_bilinear(a, *size)
+    out = ea.resize_bilinear(a, np.int64(4), np.uint8(3))
+    assert _bytes(out) == _bytes(ea.resize_bilinear(a, 4, 3))
+    assert out.shape == (2, 4, 3)
+
+
 def test_ensemble_leaves_members_unchanged():
     rng = np.random.default_rng(16)
     members = [

@@ -25,13 +25,24 @@ faults per ``pipeline`` process on the benchmark's 32-frame ``fuse-eval``
 clip, ~6k with the higher thresholds, at the same peak RSS within 1 MB.
 Elsewhere, or if ``mallopt`` cannot be reached, nothing changes. Importing
 ``eaparse`` as a library never touches the allocator.
+
+Exit policy: ``main`` also registers ``gc.freeze`` with ``atexit``, once per
+process however often it runs. At exit it moves every object still alive into
+the permanent generation, so the interpreter's final collections skip the
+~22k objects numpy and eaparse keep alive. From ``main``'s return to process
+exit took ~40 ms for ``--print-config`` and ~47-56 ms for a benchmark
+``pipeline`` before, 8-15 ms with the freeze. Importing ``eaparse`` never
+registers it, and forked workers leave through ``os._exit``, which runs no
+atexit handler.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import copy
 import ctypes
+import gc
 import json
 import os
 import sys
@@ -134,6 +145,8 @@ def _load_json(path):
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise ToolkitError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ToolkitError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _effective_config(args) -> dict:
@@ -204,6 +217,8 @@ def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
                 boxes[str(entry["frame"])].append(box)
     except OSError as exc:
         raise ToolkitError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ToolkitError(f"{path}: not UTF-8 text: {exc}") from exc
     return dict(boxes)
 
 
@@ -223,8 +238,8 @@ def _swap_table(cfg: dict, swaps_path) -> SwapTable:
 
 
 def _grabcut_params(cfg: dict, rng_seed: int) -> GrabcutParams:
-    gc = {key: value for key, value in cfg["grabcut"].items() if key != "classes"}
-    return GrabcutParams(**gc, rng_seed=rng_seed)
+    settings = {key: value for key, value in cfg["grabcut"].items() if key != "classes"}
+    return GrabcutParams(**settings, rng_seed=rng_seed)
 
 
 # --- subcommand handlers ---
@@ -320,7 +335,11 @@ def _report_json(cfg, preds, gts) -> bytes:
     config's ``classes``, else every non-zero ground-truth class."""
     class_ids = cfg["classes"]
     if class_ids is None:
-        class_ids = sorted(set(int(v) for g in gts for v in np.unique(g)) - {0})
+        # ground truths are uint8; np.unique would import numpy.ma (~17 ms)
+        present = np.zeros(256, dtype=bool)
+        for g in gts:
+            present |= np.bincount(g.reshape(-1), minlength=256) > 0
+        class_ids = (np.flatnonzero(present[1:]) + 1).tolist()
     report = evaluate_frames(preds, gts, class_ids, cfg["metric_tolerance"])
     return (json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
@@ -477,6 +496,16 @@ def _keep_freed_heap_mapped() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+# --- exit policy ---
+
+
+def _freeze_heap_at_exit() -> None:
+    """Have ``gc.freeze`` run at exit, once however often this is called, so the
+    final collections skip every object still alive then."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
 
 
 # --- parser ---
@@ -650,6 +679,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     _keep_freed_heap_mapped()
+    _freeze_heap_at_exit()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,7 @@
 """The eaparse executable: flags, exit codes, file outputs, determinism."""
 
 import argparse
+import copy
 import json
 import os
 import shutil
@@ -697,6 +698,45 @@ def test_eval_missing_gt_leaves_no_output(capsys, tmp_path):
     assert not out.exists()
 
 
+def _ground_truths(rng) -> list:
+    """Random uint8 ground truths: some all zero, class 255 in some, and one class
+    that only one frame holds."""
+    values = rng.choice(np.arange(1, 255), size=rng.integers(1, 6), replace=False)
+    gts = []
+    for _ in range(rng.integers(1, 6)):
+        shape = tuple(rng.integers(1, 12, size=2))
+        if rng.random() < 0.3:
+            gts.append(np.zeros(shape, dtype=np.uint8))
+            continue
+        pool = np.concatenate([[0], values, [255] if rng.random() < 0.5 else []])
+        gts.append(rng.choice(pool, size=shape).astype(np.uint8))
+    lone = int(rng.integers(1, 256))
+    only = gts[rng.integers(len(gts))]
+    only[tuple(rng.integers(only.shape))] = lone
+    for g in gts:
+        if g is not only:
+            g[g == lone] = 0
+    return gts
+
+
+def test_default_classes_are_the_nonzero_ground_truth_classes():
+    rng = np.random.default_rng(16)
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    for _ in range(200):
+        gts = _ground_truths(rng)
+        preds = [rng.integers(0, 256, g.shape, dtype=np.uint8) for g in gts]
+        want = sorted(set(np.unique(np.concatenate([g.ravel() for g in gts])).tolist()) - {0})
+        payload = cli._report_json(cfg, preds, gts)
+        assert sorted(map(int, json.loads(payload)["per_class"])) == want
+        assert payload == cli._report_json({**cfg, "classes": want}, preds, gts)
+
+
+def test_default_classes_of_all_zero_ground_truths_are_none():
+    gts = [np.zeros((3, 4), dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8)]
+    with pytest.raises(ea.NoClassEverPresent):
+        cli._report_json(copy.deepcopy(cli.DEFAULT_CONFIG), gts, gts)
+
+
 def _eval_dirs(tmp_path):
     (tmp_path / "pred").mkdir()
     (tmp_path / "gt").mkdir()
@@ -974,6 +1014,41 @@ def test_corrupt_input_is_exit_2(capsys, tmp_path):
     bad.write_bytes(b"P5\n4 4\n255\nxx")  # payload shorter than 16 bytes
     code, _, err = run(capsys, "edges", "--labels", str(bad), "--out", str(tmp_path / "o.pgm"))
     assert code == 2 and "error:" in err
+
+
+def _non_utf8_case(tmp_path, route) -> tuple[list, Path]:
+    """argv whose run reads a file holding the byte 0xff by ``route``, and that file."""
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"rng_seed": \xff}')
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_bytes(paths["boxes"].read_bytes() + b'{"frame": "\xff", "box": [4, 4, 28, 28]}\n')
+    image, labels = str(paths["images"] / "000.ppm"), str(paths["gt"] / "000.pgm")
+    out = str(tmp_path / "out")
+    if route == "print-config":
+        return ["--config", str(config), "--print-config"], config
+    if route == "config":
+        return ["--config", str(config), "edges", "--labels", labels, "--out", out], config
+    if route == "augment-config":
+        argv = ["augment", "--op", "hflip", "--image", image, "--labels", labels]
+        return argv + ["--config", str(config), "--out-prefix", out], config
+    if route == "pipeline-boxes":
+        return _pipeline_argv({**paths, "boxes": boxes}, out), boxes
+    argv = ["roi", "crop", "--labels", labels, "--boxes-jsonl", str(boxes), "--frame", "000"]
+    return argv + ["--out", out], boxes
+
+
+@pytest.mark.parametrize(
+    "route", ["print-config", "config", "augment-config", "pipeline-boxes", "roi-boxes-jsonl"]
+)
+def test_non_utf8_text_input_is_exit_2(capsys, tmp_path, route):
+    argv, bad = _non_utf8_case(tmp_path, route)
+    before = _tree(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in err
+    assert _tree(tmp_path) == before
 
 
 # --- pipeline ---
@@ -1400,3 +1475,76 @@ def test_importing_eaparse_leaves_the_allocator_alone(tmp_path):
     on_import, code, in_main = _python_json(script, cwd=tmp_path)
     assert on_import == [] and code == 0
     assert in_main == (2 if _on_glibc() else 0)
+
+
+# --- exit policy and imports ---
+
+
+def _pipeline_and_eval_argv(paths, tmp_path, command) -> list:
+    """argv of a pipeline without refinement at --jobs 1, or of eval; both score
+    the default classes."""
+    if command == "eval":
+        return ["eval", "--pred-dir", str(paths["gt"]), "--gt-dir", str(paths["gt"]), "--out", str(tmp_path / "r.json")]
+    argv = ["--jobs", "1", "pipeline", "--images", str(paths["images"]), "--boxes", str(paths["boxes"])]
+    argv += ["--logits-dir", str(paths["clean"]), "--gt-dir", str(paths["gt"])]
+    return argv + ["--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "eval"])
+def test_pipeline_and_eval_leave_numpy_ma_unloaded(tmp_path, command):
+    # np.unique imports numpy.ma (~17 ms); nothing on these paths needs it
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    argv = _pipeline_and_eval_argv(paths, tmp_path, command)
+    script = (
+        "import json, sys; from eaparse.cli import main; code = main(json.loads(sys.argv[1])); "
+        "print(json.dumps([code, 'numpy.ma' in sys.modules]))"
+    )
+    assert _python_json(script, json.dumps(argv), cwd=tmp_path) == [0, False]
+
+
+def test_print_config_loads_no_random_or_process_modules(tmp_path):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from eaparse.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--print-config'])\n"
+        "names = ('numpy.random', 'multiprocessing', 'concurrent.futures')\n"
+        "print(json.dumps([code, [m for m in names if m in sys.modules]]))\n"
+    )
+    assert _python_json(script, cwd=tmp_path) == [0, []]
+
+
+# an atexit handler registered before ``main`` runs after the handlers ``main`` registers
+_FREEZE_COUNT_AT_EXIT = (
+    "import atexit, contextlib, gc, io, json\n"
+    "atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))\n"
+    "import eaparse, eaparse.cli\n"
+)
+
+
+def test_main_freezes_the_heap_at_exit(tmp_path):
+    script = _FREEZE_COUNT_AT_EXIT + (
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    eaparse.cli.main(['--print-config'])\n"
+        "assert gc.get_freeze_count() == 0\n"  # not before exit
+    )
+    assert _python_json(script, cwd=tmp_path) > 0
+
+
+def test_importing_eaparse_leaves_the_heap_unfrozen(tmp_path):
+    assert _python_json(_FREEZE_COUNT_AT_EXIT, cwd=tmp_path) == 0
+
+
+def test_two_main_calls_freeze_the_heap_once(tmp_path):
+    # ``main`` looks ``gc.freeze`` up when it runs, so it registers this counting stand-in
+    script = (
+        "import atexit, contextlib, gc, io, json\n"
+        "runs, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: (runs.append(1), freeze())[1]\n"
+        "atexit.register(lambda: print(json.dumps([len(runs), gc.get_freeze_count() > 0])))\n"
+        "from eaparse.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['--print-config']), main(['--print-config'])]\n"
+        "assert codes == [0, 0]\n"
+    )
+    assert _python_json(script, cwd=tmp_path) == [1, True]

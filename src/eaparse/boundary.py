@@ -9,14 +9,17 @@ A radius above h + w acts as h + w: that disk already holds every offset that
 keeps a pixel in an h x w frame and one that moves every pixel out of it.
 
 The disk is applied by its row runs: row dr of the disk is the segment
-|dc| <= k(dr), so a running horizontal dilation (or erosion) grown from
-k = 0 to the radius is combined, shifted by +dr and -dr, into the result
-whenever k reaches k(dr). That is about 4 * radius + 1 in-place slice
-operations on two frame-size arrays, whatever the disk's area. Both
-operations, like the boundary, act on the last two axes, so a stack of
-masks is processed in one pass."""
+|dc| <= k(dr), with k(dr) = isqrt(r^2 - dr^2) for radius r, so a running
+horizontal dilation (or erosion) grown from k = 0 to the radius is
+combined, shifted by +dr and -dr, into the result whenever k reaches
+k(dr). That is about 4 * radius + 1 in-place slice operations on two
+frame-size arrays, whatever the disk's area. Both operations, like the
+boundary, act on the last two axes, so a stack of masks is processed in
+one pass."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,17 +49,17 @@ def extract_boundary(label_map) -> np.ndarray:
     return _edges(ensure_label_map(label_map)).astype(np.uint8)
 
 
-def disk_offsets(radius: int) -> list[tuple[int, int]]:
-    """All integer offsets within euclidean distance ``radius`` of the origin."""
+def _disk_rows(radius: int) -> list[int]:
+    """k(dr) for dr = 0..radius: the disk's row dr is the run |dc| <= k(dr)."""
     if radius < 0:
         raise InvalidRaster(f"radius must be >= 0, got {radius}")
-    r2 = radius * radius
-    return [
-        (dr, dc)
-        for dr in range(-radius, radius + 1)
-        for dc in range(-radius, radius + 1)
-        if dr * dr + dc * dc <= r2
-    ]
+    return [math.isqrt(radius * radius - dr * dr) for dr in range(radius + 1)]
+
+
+def disk_offsets(radius: int) -> list[tuple[int, int]]:
+    """All integer offsets within euclidean distance ``radius`` of the origin."""
+    rows = _disk_rows(radius)
+    return [(dr, dc) for dr in range(-radius, radius + 1) for dc in range(-rows[abs(dr)], rows[abs(dr)] + 1)]
 
 
 def _fold(dst: np.ndarray, src: np.ndarray, shift: int, axis: int, erode: bool) -> None:
@@ -80,14 +83,12 @@ def _fold(dst: np.ndarray, src: np.ndarray, shift: int, axis: int, erode: bool) 
 
 def _disk_morph(m: np.ndarray, radius: int, erode: bool) -> np.ndarray:
     """Disk dilation or erosion of boolean masks stacked along leading axes."""
-    half_width: dict[int, int] = {}
-    for dr, dc in disk_offsets(min(radius, sum(m.shape[-2:]))):
-        half_width[abs(dr)] = max(half_width.get(abs(dr), 0), dc)
+    rows = _disk_rows(min(radius, sum(m.shape[-2:])))
     run = m.copy()  # m folded over |dc| <= k along each row
     out = np.full(m.shape, erode)
     k = 0
-    for dr in sorted(half_width, reverse=True):  # k(dr) grows as |dr| falls
-        while k < half_width[dr]:
+    for dr in reversed(range(len(rows))):  # k(dr) grows as dr falls
+        while k < rows[dr]:
             k += 1
             _fold(run, m, k, -1, erode)
             _fold(run, m, -k, -1, erode)

@@ -42,6 +42,7 @@ import argparse
 import atexit
 import copy
 import ctypes
+import dataclasses
 import gc
 import json
 import os
@@ -85,13 +86,10 @@ ThreadPoolExecutor = None
 DEFAULT_CONFIG = {
     "swap_pairs": [],
     "edge_radius": DEFAULT_EDGE_RADIUS,
-    "loss_weights": {"lambda_edge": 1.0, "lambda_boundary": 1.0},
+    "loss_weights": dataclasses.asdict(LossWeights()),
+    # the seed is global (config rng_seed), not a grabcut setting
     "grabcut": {
-        "components_k": 5,
-        "gamma": 50.0,
-        "iterations": 5,
-        "erode_radius": 3,
-        "dilate_radius": 10,
+        **{f.name: f.default for f in dataclasses.fields(GrabcutParams) if f.name != "rng_seed"},
         "classes": [],
     },
     "ensemble_size": None,

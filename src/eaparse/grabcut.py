@@ -92,14 +92,6 @@ class Trimap:
 
     data: np.ndarray
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
     def definite_fg(self) -> np.ndarray:
         return self.data == TRIMAP_FG
 
@@ -360,8 +352,9 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
     capacity both ways. A stable sort by tail groups the arcs per node while
     keeping each node's arcs in that order, so the search visits arcs in a
     fixed order and its flow and cut are deterministic. Returns the flow
-    value and a uint8 vector with 1 for nodes on the source side of the cut
-    (those reachable from s in the residual network).
+    value and a uint8 vector with 1 for nodes on the source side of the cut:
+    those reachable from s in the final residual network, as marked by the
+    last level search (the one that finds t unreachable and ends the phases).
     """
     n = graph.validate()
     s, t = n, n + 1
@@ -393,7 +386,7 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
                     level[to[a]] = level[u] + 1
                     queue.append(to[a])
         if level[t] < 0:
-            break
+            return flow, (np.array(level[:n]) >= 0).astype(np.uint8)
 
         # blocking flow: iterative DFS with per-node arc pointers
         ptr = start[:-1]
@@ -429,17 +422,6 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
             last = path.pop()
             u = to[rev[last]]
             ptr[u] += 1
-
-    seen = [False] * (n + 2)
-    seen[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for a in range(start[u], start[u + 1]):
-            if cap[a] > 0.0 and not seen[to[a]]:
-                seen[to[a]] = True
-                queue.append(to[a])
-    return flow, np.array(seen[:n], dtype=np.uint8)
 
 
 def _neighbour_table(n: int, edges: np.ndarray, edge_cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -583,8 +565,9 @@ def _ring_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray):
         # source side = foreground: the link a cut severs is the one to the
         # terminal the pixel does NOT join, hence the opposite model; the same
         # constant on both terminals of a pixel moves every cut equally
-        shift = np.minimum(data_fg, data_bg)
-        graph = GridGraph((data_bg - shift)[nodes], (data_fg - shift)[nodes], node_edges, node_cap)
+        fg, bg = data_fg[nodes], data_bg[nodes]
+        shift = np.minimum(fg, bg)
+        graph = GridGraph(bg - shift, fg - shift, node_edges, node_cap)
         out = def_fg.copy()
         out.reshape(-1)[nodes] = _reduced_cut(graph, table, state).astype(bool)
         return out
@@ -655,15 +638,14 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     fg_seed, bg_seed = (int(v) for v in np.random.SeedSequence(params.rng_seed).generate_state(2, dtype=np.uint64))
 
     alpha = crop.astype(bool)
-    fg_gmm = bg_gmm = None
+    bg_gmm = None
     flat = z.reshape(-1, 3)
     trace: list[float] = []
     for _ in range(params.iterations):
-        fg_px = z[alpha]
+        fg_px = z[alpha]  # never empty: alpha holds the trimap's definite foreground
         bg_px = z[~alpha]
-        if fg_px.shape[0]:
-            fg_gmm = fit_gmm(fg_px, min(params.components_k, fg_px.shape[0]), fg_seed)
-        if bg_px.shape[0]:
+        fg_gmm = fit_gmm(fg_px, min(params.components_k, fg_px.shape[0]), fg_seed)
+        if bg_px.shape[0]:  # a cut can take every pixel; the model of the round before stays
             bg_gmm = fit_gmm(bg_px, min(params.components_k, bg_px.shape[0]), bg_seed)
         data_fg = np.minimum(-fg_gmm.log_likelihood(flat), MAX_DATA_TERM)
         data_bg = np.minimum(-bg_gmm.log_likelihood(flat), MAX_DATA_TERM)

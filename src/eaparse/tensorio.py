@@ -47,18 +47,23 @@ FPLT_VERSION = 1
 # --- in-memory validators ---
 
 
+def _as_uint8(a: np.ndarray, kind: str, values: str) -> np.ndarray:
+    """``a`` as uint8, or InvalidRaster unless it holds integers in 0..255."""
+    if a.dtype != np.uint8:
+        if not np.issubdtype(a.dtype, np.integer):
+            raise InvalidRaster(f"{kind} must hold integers, got dtype {a.dtype}")
+        if a.min() < 0 or a.max() > 255:
+            raise InvalidRaster(f"{values} must fit in one unsigned byte")
+        a = a.astype(np.uint8)
+    return a
+
+
 def ensure_label_map(arr) -> np.ndarray:
     """Return ``arr`` as a valid (H, W) uint8 label map or raise InvalidRaster."""
     a = np.asarray(arr)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidRaster(f"label map must be 2-D with H,W >= 1, got shape {a.shape}")
-    if a.dtype != np.uint8:
-        if not np.issubdtype(a.dtype, np.integer):
-            raise InvalidRaster(f"label map must hold integers, got dtype {a.dtype}")
-        if a.min() < 0 or a.max() > 255:
-            raise InvalidRaster("label ids must fit in one unsigned byte")
-        a = a.astype(np.uint8)
-    return a
+    return _as_uint8(a, "label map", "label ids")
 
 
 def ensure_rgb_image(arr) -> np.ndarray:
@@ -66,13 +71,7 @@ def ensure_rgb_image(arr) -> np.ndarray:
     a = np.asarray(arr)
     if a.ndim != 3 or a.shape[2] != 3 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidRaster(f"rgb image must be (H, W, 3) with H,W >= 1, got shape {a.shape}")
-    if a.dtype != np.uint8:
-        if not np.issubdtype(a.dtype, np.integer):
-            raise InvalidRaster(f"rgb image must hold integers, got dtype {a.dtype}")
-        if a.min() < 0 or a.max() > 255:
-            raise InvalidRaster("channel values must fit in one unsigned byte")
-        a = a.astype(np.uint8)
-    return a
+    return _as_uint8(a, "rgb image", "channel values")
 
 
 def ensure_binary_mask(arr) -> np.ndarray:
@@ -186,21 +185,20 @@ def _write_files(items) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _check_payload(data: bytes, offset: int, expected: int, path) -> bytes:
+def _check_payload(data: bytes, offset: int, expected: int, path) -> None:
     got = len(data) - offset
     if got < expected:
         raise TruncatedData(f"{path}: expected {expected} payload bytes, found {got}")
     if got > expected:
         raise TrailingData(f"{path}: {got - expected} unexpected bytes after payload")
-    return data[offset:]
 
 
 def read_label_map(path) -> np.ndarray:
     """Read a binary PGM file into a (H, W) uint8 label map."""
     data = _read_file(path)
     w, h, off = _parse_pnm_header(data, b"P5", path)
-    payload = _check_payload(data, off, h * w, path)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+    _check_payload(data, off, h * w, path)
+    return np.frombuffer(data, np.uint8, h * w, off).reshape(h, w).copy()
 
 
 def _label_map_bytes(label_map) -> bytes:
@@ -219,8 +217,8 @@ def read_rgb_image(path) -> np.ndarray:
     """Read a binary PPM file into a (H, W, 3) uint8 image."""
     data = _read_file(path)
     w, h, off = _parse_pnm_header(data, b"P6", path)
-    payload = _check_payload(data, off, h * w * 3, path)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
+    _check_payload(data, off, h * w * 3, path)
+    return np.frombuffer(data, np.uint8, h * w * 3, off).reshape(h, w, 3).copy()
 
 
 def _rgb_image_bytes(image) -> bytes:
@@ -253,8 +251,8 @@ def read_logits(path) -> np.ndarray:
         raise BadVersion(f"{path}: unsupported version {version}")
     if min(c, h, w) < 1:
         raise MalformedHeader(f"{path}: C, H, W must all be >= 1, found {(c, h, w)}")
-    payload = _check_payload(data, 20, 4 * c * h * w, path)
-    values = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
+    _check_payload(data, 20, 4 * c * h * w, path)
+    values = np.frombuffer(data, "<f4", c * h * w, 20).reshape(c, h, w)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(f"{path}: payload contains NaN or Inf")
     return values.astype(np.float32)

@@ -20,7 +20,10 @@ The first two forms import ``eaparse`` from ``--src`` (by default the
 * ``morphology/<i>``: the disk dilation and erosion of a seeded random mask,
   at a radius from 0 to beyond h + w;
 * ``evaluate_frames/<i>``: the report JSON of seeded random multi-class
-  frame lists, at tolerances from 0 to beyond h + w.
+  frame lists, at tolerances from 0 to beyond h + w;
+* ``max_flow/<i>``: the flow value (its float64 bytes) and the cut side of
+  seeded random graphs of 0-150 nodes, with continuous capacities,
+  quantised capacities with exact ties, or many zero capacities.
 
 The random cases include quantised colours with exact ties, one-colour
 frames and dilate radii from 0 to 8. ``--compare`` prints, per
@@ -202,6 +205,29 @@ def eval_prints(ea) -> dict[str, str]:
     return out
 
 
+def _random_graph(ea, rng: np.random.Generator, style: int):
+    n = int(rng.integers(0, 151))
+    m = int(rng.integers(0, 3 * n + 1)) if n > 1 else 0
+    tail = rng.integers(0, max(n, 1), m)
+    head = (tail + rng.integers(1, max(n, 2), m)) % max(n, 1)  # never the tail itself
+    if style == 0:
+        caps = rng.uniform(0, 10, 2 * n + m)
+    elif style == 1:  # few distinct values, many exact ties
+        caps = rng.integers(0, 4, 2 * n + m) * 2.5
+    else:
+        caps = rng.exponential(3, 2 * n + m) * (rng.random(2 * n + m) < 0.4)
+    return ea.GridGraph(caps[:n], caps[n : 2 * n], np.stack([tail, head], axis=1), caps[2 * n :])
+
+
+def max_flow_prints(ea) -> dict[str, str]:
+    rng = np.random.default_rng(20210624)
+    out = {}
+    for i in range(N_RANDOM):
+        flow, side = ea.max_flow(_random_graph(ea, rng, i % 3))
+        out[f"max_flow/{i:03d}"] = _digest_arrays(np.float64(flow), side)
+    return out
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a = json.loads(a_path.read_text(encoding="utf-8"))
     b = json.loads(b_path.read_text(encoding="utf-8"))
@@ -244,6 +270,7 @@ def main(argv=None) -> int:
         **fusion_prints(ea),
         **morphology_prints(ea),
         **eval_prints(ea),
+        **max_flow_prints(ea),
     }
     args.out.write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(prints)} fingerprints of {Path(ea.__file__).parent} written to {args.out}")

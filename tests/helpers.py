@@ -62,15 +62,15 @@ def oracle_erode(mask: np.ndarray, radius: int) -> np.ndarray:
 
 
 def forbid_disks_beyond(monkeypatch, limit):
-    """Make ``boundary.disk_offsets`` fail fast when asked for a radius above ``limit``."""
-    real = boundary.disk_offsets
+    """Make ``boundary._disk_rows`` fail fast when asked for a radius above ``limit``."""
+    real = boundary._disk_rows
 
     def spy(radius):
         if radius > limit:
-            raise AssertionError(f"disk_offsets({radius}) asked for more than {limit}")
+            raise AssertionError(f"_disk_rows({radius}) asked for more than {limit}")
         return real(radius)
 
-    monkeypatch.setattr(boundary, "disk_offsets", spy)
+    monkeypatch.setattr(boundary, "_disk_rows", spy)
 
 
 # --- metric oracles ---

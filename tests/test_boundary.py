@@ -138,3 +138,40 @@ def test_negative_radius_raises_for_both_operations():
             op(m, -1)
         with pytest.raises(ea.InvalidRaster):
             op(np.zeros((1, 1), dtype=np.uint8), -5)
+
+
+def test_disk_offsets_are_every_offset_within_the_radius_in_row_order():
+    for radius in range(41):
+        span = range(-radius, radius + 1)
+        want = [(dr, dc) for dr in span for dc in span if dr * dr + dc * dc <= radius * radius]
+        assert boundary.disk_offsets(radius) == want
+    with pytest.raises(ea.InvalidRaster, match="radius must be >= 0, got -1"):
+        boundary.disk_offsets(-1)
+
+
+def test_morphology_and_scores_never_list_disk_offsets(monkeypatch):
+    def refuse(radius):
+        raise AssertionError(f"disk_offsets({radius}) was called")
+
+    monkeypatch.setattr(boundary, "disk_offsets", refuse)
+    rng = np.random.default_rng(16)
+    labels = rng.integers(0, 3, (12, 10)).astype(np.uint8)
+    mask = (labels == 1).astype(np.uint8)
+    for radius in (0, 1, 5, 40):
+        assert (ea.dilate_mask(mask, radius) == helpers.oracle_dilate(mask, radius)).all()
+        assert (ea.erode_mask(mask, radius) == helpers.oracle_erode(mask, radius)).all()
+        band = helpers.oracle_dilate(helpers.oracle_boundary(labels), radius)
+        assert (ea.edge_attention_mask(labels, radius) == band).all()
+        pred = np.where(rng.random(labels.shape) < 0.2, 2, labels).astype(np.uint8)
+        want = helpers.oracle_evaluate_frames([pred], [labels], [1, 2], radius)
+        assert ea.evaluate_frames([pred], [labels], [1, 2], radius).to_json_dict() == want
+
+
+def test_disk_guard_fails_fast_above_its_limit(monkeypatch):
+    helpers.forbid_disks_beyond(monkeypatch, 3)
+    m = np.zeros((20, 20), dtype=np.uint8)
+    m[10, 10] = 1
+    assert ea.dilate_mask(m, 3).sum() == len(boundary.disk_offsets(3))
+    for op in (ea.dilate_mask, ea.erode_mask):
+        with pytest.raises(AssertionError, match=r"_disk_rows\(4\) asked for more than 3"):
+            op(m, 4)

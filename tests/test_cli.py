@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import shutil
@@ -217,6 +218,16 @@ def test_readme_default_config_matches_the_code():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("Default configuration:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
     assert json.loads(block) == cli.DEFAULT_CONFIG
+
+
+def test_default_config_holds_the_library_defaults():
+    def typed(d):
+        return {key: (type(value), value) for key, value in d.items()}
+
+    settings = {key: value for key, value in cli.DEFAULT_CONFIG["grabcut"].items() if key != "classes"}
+    settings["rng_seed"] = cli.DEFAULT_CONFIG["rng_seed"]
+    assert typed(settings) == typed(dataclasses.asdict(ea.GrabcutParams()))
+    assert typed(cli.DEFAULT_CONFIG["loss_weights"]) == typed(dataclasses.asdict(ea.LossWeights()))
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -1138,6 +1149,52 @@ def _pipeline_argv(paths, out_dir) -> list:
     argv = ["pipeline", "--images", str(paths["images"]), "--boxes", str(paths["boxes"])]
     argv += ["--logits-dir", str(paths["clean"]), "--logits-dir", str(paths["degraded"])]
     return argv + ["--gt-dir", str(paths["gt"]), "--out-dir", str(out_dir), "--refine-classes", "1"]
+
+
+def _rename_members(paths, name) -> None:
+    """Give every member file ``<stem>__0.fplt`` of the clip the name ``name(stem)``."""
+    for member in ("clean", "degraded"):
+        for f in sorted(paths[member].glob("*__0.fplt")):
+            f.rename(f.with_name(name(f.name[: -len("__0.fplt")])))
+
+
+def test_pipeline_reads_stem_fplt_for_a_single_box_frame(capsys, tmp_path):
+    outputs = []
+    for name in ("indexed", "bare"):
+        paths = helpers.write_clip(tmp_path / name, n_frames=2)
+        if name == "bare":
+            _rename_members(paths, lambda stem: f"{stem}.fplt")
+            assert sorted(f.name for f in paths["clean"].iterdir()) == ["000.fplt", "001.fplt"]
+        code, _, err = run(capsys, *_pipeline_argv(paths, tmp_path / name / "out"))
+        assert code == 0, err
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / name / "out").iterdir()})
+    assert sorted(outputs[0]) == ["000.pgm", "001.pgm", "report.json"]
+    assert outputs[0] == outputs[1]
+
+
+def test_pipeline_prefers_the_indexed_member_name(capsys, tmp_path):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    code, _, err = run(capsys, *_pipeline_argv(paths, tmp_path / "want"))
+    assert code == 0, err
+    for member in ("clean", "degraded"):
+        for stem in ("000", "001"):
+            (paths[member] / f"{stem}.fplt").write_bytes(b"not an FPLT file")  # exit 2 if read
+    code, _, err = run(capsys, *_pipeline_argv(paths, tmp_path / "got"))
+    assert code == 0, err
+    for f in (tmp_path / "want").iterdir():
+        assert (tmp_path / "got" / f.name).read_bytes() == f.read_bytes()
+
+
+def test_pipeline_needs_indexed_members_for_a_two_box_frame(capsys, tmp_path):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
+    _rename_members(paths, lambda stem: f"{stem}.fplt")
+    line = json.dumps({"frame": "000", "box": [4, 4, 28, 28]}) + "\n"
+    paths["boxes"].write_text(line * 2, encoding="utf-8")
+    code, out, err = run(capsys, *_pipeline_argv(paths, tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: frame 000: ") and "000__0.fplt" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_frame_error_is_the_same_for_any_jobs(capsys, tmp_path):

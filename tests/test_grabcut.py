@@ -1,5 +1,7 @@
 """Trimap seeding, mixture fits, exact min-cuts and mask refinement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -788,6 +790,48 @@ def test_trimap_on_the_window_equals_the_frame_trimap_cut_to_it():
         on_border += bool(mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any())
         small += bool(outside.any())
     assert on_border >= 20 and small >= 20
+
+
+def _record_fit_sizes(monkeypatch) -> list:
+    sizes = []
+    fit = grabcut.fit_gmm
+
+    def spy(pixels, k, rng_seed, **kwargs):
+        sizes.append(len(pixels))
+        return fit(pixels, k, rng_seed, **kwargs)
+
+    monkeypatch.setattr(grabcut, "fit_gmm", spy)
+    return sizes
+
+
+def test_refine_fits_only_the_foreground_once_the_cut_takes_every_pixel(monkeypatch):
+    # one colour: the first cut takes all 64 pixels, so round 2 has no
+    # background pixels and keeps the background model of round 1
+    sizes = _record_fit_sizes(monkeypatch)
+    image = np.full((8, 8, 3), 120, dtype=np.uint8)
+    init = np.ones((8, 8), dtype=np.uint8)
+    init[-1] = 0
+    params = ea.GrabcutParams(components_k=2, erode_radius=1, dilate_radius=4, iterations=3, rng_seed=0)
+    refined, trace = ea.grabcut_refine(image, init, params)
+    assert sizes == [56, 8, 64]
+    assert refined.dtype == np.uint8 and (refined == 1).all()
+    assert len(trace) == 3
+
+
+def test_refine_never_fits_a_mixture_to_no_pixels(monkeypatch):
+    sizes = _record_fit_sizes(monkeypatch)
+    rng = np.random.default_rng(22)
+    for i, (mask, params) in enumerate(_random_masks()):
+        colours = rng.integers(0, 256, (2, 3))
+        image = colours[mask].astype(np.float64)
+        if i % 3 == 0:
+            image[:] = colours[0]  # one colour: every cut of equal energy is a candidate
+        else:
+            image += rng.normal(0, rng.uniform(2, 40), image.shape)
+        image = np.clip(image, 0, 255).astype(np.uint8)
+        k, iterations = (int(v) for v in rng.integers(1, 6, 2))
+        ea.grabcut_refine(image, mask, dataclasses.replace(params, components_k=k, iterations=iterations, rng_seed=i))
+    assert len(sizes) >= 160 and min(sizes) > 0
 
 
 def test_refine_class_relabels_only_its_class():

@@ -248,3 +248,65 @@ def test_validators_reject_bad_shapes():
         ea.ensure_logits(np.array([[[np.inf]]], dtype=np.float32))
     with pytest.raises(InvalidRaster):
         ea.write_label_map(np.zeros((2, 2)) - 1, "/tmp/never-written.pgm")
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_validators_convert_wide_integers_in_range(dtype):
+    labels = np.array([[0, 7], [200, 255]], dtype=dtype)
+    got = ea.ensure_label_map(labels)
+    assert got.dtype == np.uint8 and got.tolist() == labels.tolist()
+    image = np.arange(12, dtype=dtype).reshape(2, 2, 3) * 23
+    got = ea.ensure_rgb_image(image)
+    assert got.dtype == np.uint8 and got.tolist() == image.tolist()
+
+
+@pytest.mark.parametrize(
+    "validator, shape, kind, byte_message",
+    [
+        (ea.ensure_label_map, (2, 2), "label map", "label ids must fit in one unsigned byte"),
+        (ea.ensure_rgb_image, (2, 2, 3), "rgb image", "channel values must fit in one unsigned byte"),
+    ],
+)
+def test_validators_reject_values_outside_a_byte_and_floats(validator, shape, kind, byte_message):
+    for bad in (-1, 256):
+        a = np.zeros(shape, dtype=np.int16)
+        a.flat[-1] = bad
+        with pytest.raises(InvalidRaster, match=f"^{byte_message}$"):
+            validator(a)
+    with pytest.raises(InvalidRaster, match=f"^{kind} must hold integers, got dtype float64$"):
+        validator(np.zeros(shape))
+
+
+def test_binary_mask_accepts_bools():
+    got = ea.ensure_binary_mask(np.array([[True, False], [False, True]]))
+    assert got.dtype == np.uint8 and got.tolist() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P52 2 255\n", "missing whitespace between header fields"),
+        (b"P5\n2 x 255\n", "expected an unsigned integer in header"),
+        (b"P5\n2 2 255x", "header must end with a single whitespace byte"),
+    ],
+)
+def test_pnm_header_grammar_errors(tmp_path, header, message):
+    p = tmp_path / "a.pgm"
+    p.write_bytes(header + bytes(4))
+    with pytest.raises(MalformedHeader, match=message):
+        ea.read_label_map(p)
+
+
+def test_fplt_shorter_than_its_header(tmp_path):
+    p = tmp_path / "a.fplt"
+    p.write_bytes(b"FPLT" + struct.pack("<III", 1, 1, 1))
+    with pytest.raises(TruncatedData, match="header needs 20 bytes, file has 16"):
+        ea.read_logits(p)
+
+
+@pytest.mark.parametrize("chw", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+def test_fplt_zero_dimension_rejected(tmp_path, chw):
+    p = tmp_path / "a.fplt"
+    p.write_bytes(b"FPLT" + struct.pack("<IIII", 1, *chw))
+    with pytest.raises(MalformedHeader, match=r"C, H, W must all be >= 1"):
+        ea.read_logits(p)

@@ -167,11 +167,8 @@ def _effective_config(args) -> dict:
 
 
 def _parse_box(text: str) -> Box:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ToolkitError(f"box must be x0,y0,x1,y1 with integers, got {text!r}")
-    try:
-        x0, y0, x1, y1 = (int(p) for p in parts)
+    try:  # a wrong field count fails the unpacking with ValueError too
+        x0, y0, x1, y1 = (int(p) for p in text.split(","))
     except ValueError as exc:
         raise ToolkitError(f"box must be x0,y0,x1,y1 with integers, got {text!r}") from exc
     return Box(x0, y0, x1, y1)

@@ -3,9 +3,10 @@
 A network's parse sometimes drops part of a region whose colors clearly
 belong to it. Refinement recovers such parts from the image alone: seed a
 trimap from the initial mask, model foreground and background colors with
-one Gaussian mixture each, connect ambiguous pixels in an 8-neighbor grid
-with contrast-sensitive smoothness weights, and let a minimum s-t cut decide
-which side each ambiguous pixel joins, and alternate model refits with cuts.
+one Gaussian mixture each, connect the pixels of a window around the mask in
+an 8-neighbor grid with contrast-sensitive smoothness weights, and let a
+minimum s-t cut decide which side each ambiguous pixel joins (the definite
+ones enter the cut fixed to their side), and alternate model refits with cuts.
 Each cut minimizes the labeling energy for its round's models; a refit
 starts afresh from a seeded k-means++ and need not lower the energy, so the
 energy can rise between rounds.
@@ -253,17 +254,15 @@ def _estimate(px: np.ndarray, assign: np.ndarray, k: int, prev_means: np.ndarray
     return ColorGmm(weights=counts / n, means=means, covariances=covs)
 
 
-def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
+def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
     """Fit a K-component mixture by seeded k-means++ plus hard refit rounds.
 
-    Each round assigns every pixel to its highest-scoring component and then
+    Each round scores the current model once, in ``ColorGmm``'s factorised
+    form, assigns every pixel to its highest-scoring component and then
     re-estimates weights, means and ridge-regularized covariances from the
     members, for ``_GMM_ROUNDS`` rounds or until the assignment repeats (its
-    refit would rebuild the same model bit for bit). Each model is scored
-    once, in ``ColorGmm``'s factorised form, and that score gives the next
-    assignment. Fully deterministic for a fixed seed. ``with_trace`` also
-    returns the classification log-likelihood after the initial estimate and
-    every round, the stopping one included; it is computed only when asked for.
+    refit would rebuild the same model bit for bit). Fully deterministic for
+    a fixed seed.
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
     n = px.shape[0]
@@ -289,21 +288,13 @@ def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
 
     assign = dist.argmin(axis=0)
     gmm = _estimate(px, assign, k, prev_means=np.array(centers))
-    scores = gmm._scores(px)
-    trace = [float(scores[np.arange(n), assign].sum())] if with_trace else None
-
     for _ in range(_GMM_ROUNDS):
-        new_assign = scores.argmax(axis=1)
+        new_assign = gmm._scores(px).argmax(axis=1)
         if (new_assign == assign).all():
-            if with_trace:
-                trace.append(trace[-1])
             break
         assign = new_assign
         gmm = _estimate(px, assign, k, prev_means=gmm.means)
-        scores = gmm._scores(px)
-        if with_trace:
-            trace.append(float(scores[np.arange(n), assign].sum()))
-    return (gmm, trace) if with_trace else gmm
+    return gmm
 
 
 # --- grid graph and max-flow ---
@@ -311,7 +302,7 @@ def fit_gmm(pixels, k: int, rng_seed, *, with_trace: bool = False):
 
 @dataclass(frozen=True, eq=False)
 class GridGraph:
-    """An s-t network over the ambiguous pixels.
+    """An s-t network over n nodes, in refinement the pixels of a window.
 
     ``source_cap``/``sink_cap`` hold the terminal link capacities per node;
     ``edges`` (m, 2) lists undirected neighbor pairs whose shared capacity
@@ -439,7 +430,7 @@ def _neighbour_table(n: int, edges: np.ndarray, edge_cap: np.ndarray) -> tuple[n
     return nbr, ncap
 
 
-def _reduced_cut(graph: GridGraph, table=None, state=None) -> np.ndarray:
+def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
     """``max_flow``'s cut side of every node, solving only the nodes left undecided.
 
     Partial-optimality reduction (Kovtun 2003; Alahari, Kohli & Torr, CVPR
@@ -455,19 +446,19 @@ def _reduced_cut(graph: GridGraph, table=None, state=None) -> np.ndarray:
     Every sum is taken afresh over a node's edges, never kept by subtraction,
     so S cannot drift low. ``max_flow`` then runs on the free nodes and the
     edges between them; in exact arithmetic the sides equal its sides on the
-    whole graph. ``table`` is the graph's ``_neighbour_table``, for callers
-    that cut graphs of one topology many times; it is built here when omitted.
+    whole graph.
 
-    ``state`` gives each node's starting state: ``_FREE``, ``_SOURCE`` or
-    ``_SINK``, all free when omitted. A node that starts fixed keeps its
-    side, its own terminal capacities go unread, and its edges count toward
-    the terminal of its side; fixing starts from the nodes that start free.
+    ``table`` is the graph's ``_neighbour_table``, built once by callers that
+    cut graphs of one topology many times. ``state`` gives each node's
+    starting state: ``_FREE``, ``_SOURCE`` or ``_SINK``. A node that starts
+    fixed keeps its side, its own terminal capacities go unread, and its
+    edges count toward the terminal of its side; fixing starts from the
+    nodes that start free.
     """
     n = graph.source_cap.shape[0]
     edges = graph.edges.astype(np.int64)
-    nbr, ncap = _neighbour_table(n, edges, graph.edge_cap) if table is None else table
-
-    state = np.append(np.full(n, _FREE) if state is None else state, _ABSENT).astype(np.int8)
+    nbr, ncap = table
+    state = np.append(state, _ABSENT).astype(np.int8)
 
     def terminal_caps(nodes):
         # per node, its edge capacity to neighbours in each state, in row order
@@ -541,36 +532,28 @@ def _labeling_energy(alpha, data_fg, data_bg, edges, edge_cap) -> float:
     return float(data_fg[a].sum() + data_bg[~a].sum()) + float(edge_cap[crossing].sum())
 
 
-def _ring_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray):
+def _window_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray):
     """The min-cut of a window's trimap, as a function of the round's data terms.
 
-    The nodes are the ambiguous pixels and every definite pixel that shares
-    an edge with one; edges between two definite pixels are dropped. The
-    definite pixels start fixed to their side in ``_reduced_cut``, so their
-    edges count toward the terminal of that side. The nodes, their edges and
-    the neighbour table are built once; the returned function maps the data
-    terms (flat over the window) to the window's foreground after the cut.
+    The graph is the window's own: every window pixel is a node and
+    ``edges`` (from ``_window_edges``) is its edge list. The definite pixels
+    start fixed to their side in ``_reduced_cut``, so an edge between two of
+    them is never read and an edge from one to an ambiguous pixel counts
+    toward the terminal of its side. The neighbour table and the starting
+    states are built once; the returned function maps the data terms (flat
+    over the window) to the window's foreground after the cut.
     """
-    kept = trimap.probable().reshape(-1)[edges].any(axis=1)
-    ring = edges[kept]
-    on = np.bincount(ring.ravel(), minlength=trimap.data.size) > 0  # the window pixels that are nodes
-    nodes = np.flatnonzero(on)
-    node_edges, node_cap = (np.cumsum(on) - 1)[ring], edge_cap[kept]
-    table = _neighbour_table(nodes.size, node_edges, node_cap)
-    pixel = trimap.data.reshape(-1)[nodes]
+    pixel = trimap.data.reshape(-1)
+    table = _neighbour_table(pixel.size, edges, edge_cap)
     state = np.select([pixel == TRIMAP_FG, pixel == TRIMAP_BG], [_SOURCE, _SINK], _FREE)
-    def_fg = trimap.definite_fg()
 
     def cut(data_fg: np.ndarray, data_bg: np.ndarray) -> np.ndarray:
         # source side = foreground: the link a cut severs is the one to the
         # terminal the pixel does NOT join, hence the opposite model; the same
         # constant on both terminals of a pixel moves every cut equally
-        fg, bg = data_fg[nodes], data_bg[nodes]
-        shift = np.minimum(fg, bg)
-        graph = GridGraph(bg - shift, fg - shift, node_edges, node_cap)
-        out = def_fg.copy()
-        out.reshape(-1)[nodes] = _reduced_cut(graph, table, state).astype(bool)
-        return out
+        shift = np.minimum(data_fg, data_bg)
+        graph = GridGraph(data_bg - shift, data_fg - shift, edges, edge_cap)
+        return _reduced_cut(graph, table, state).astype(bool).reshape(trimap.data.shape)
 
     return cut
 
@@ -613,11 +596,12 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     so rounds stop after ``params.iterations`` or once a cut returns its
     input; the trace still holds one energy per iteration, the last repeated.
 
-    Each cut is ``_ring_cut``: the partial-optimality reduction of
-    ``_reduced_cut`` over the ambiguous pixels, with the definite pixels next
-    to them fixed to their side. In exact arithmetic it is the minimum cut
-    with the smallest foreground; where several cuts have the same energy, as
-    on a frame of one colour, rounding may pick another of them.
+    Each cut is ``_window_cut``: the partial-optimality reduction of
+    ``_reduced_cut`` on the window's own 8-neighbour graph, with every
+    definite pixel fixed to its side from the start. In exact arithmetic it
+    is the minimum cut with the smallest foreground; where several cuts have
+    the same energy, as on a frame of one colour, rounding may pick another
+    of them.
     """
     if params is None:
         params = GrabcutParams()
@@ -631,7 +615,7 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     trimap = build_trimap(crop, params)
     z = img[window].astype(np.float64)
     edges, edge_cap = _window_edges(z, params.gamma)
-    ring_cut = _ring_cut(trimap, edges, edge_cap)
+    window_cut = _window_cut(trimap, edges, edge_cap)
 
     # one fixed fitting seed per side, reused every round: the fit depends
     # only on the current partition, never on iteration count
@@ -649,7 +633,7 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
             bg_gmm = fit_gmm(bg_px, min(params.components_k, bg_px.shape[0]), bg_seed)
         data_fg = np.minimum(-fg_gmm.log_likelihood(flat), MAX_DATA_TERM)
         data_bg = np.minimum(-bg_gmm.log_likelihood(flat), MAX_DATA_TERM)
-        cut = ring_cut(data_fg, data_bg)
+        cut = window_cut(data_fg, data_bg)
         trace.append(_labeling_energy(cut, data_fg, data_bg, edges, edge_cap))
         if (cut == alpha).all():
             break  # fixed point: every later round would get this input and repeat this one

@@ -242,7 +242,7 @@ def read_logits(path) -> np.ndarray:
     Rejects wrong magic/version, short or long payloads and any NaN/Inf value.
     """
     data = _read_file(path)
-    if len(data) < 4 or data[:4] != FPLT_MAGIC:
+    if data[:4] != FPLT_MAGIC:
         raise BadMagic(f"{path}: expected magic {FPLT_MAGIC.decode()}, found {data[:4]!r}")
     if len(data) < 20:
         raise TruncatedData(f"{path}: header needs 20 bytes, file has {len(data)}")

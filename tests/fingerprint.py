@@ -12,7 +12,8 @@ The first two forms import ``eaparse`` from ``--src`` (by default the
   seeds 1-3, on the clip ``bench/gen.py`` writes for it;
 * ``fit_gmm/<i>``: the weights, means and covariances of seeded random
   mixture fits;
-* ``grabcut_refine/<i>``: the refined masks of seeded random scenes;
+* ``grabcut_refine/<i>``: the refined mask of a seeded random scene and
+  the float64 bytes of its energy trace;
 * ``resize_bilinear/<i>``: seeded random tensors resized up, down, up one
   way and down the other, to or from 1-pixel sides, or to their own size;
 * ``ensemble_probabilities/<i>``: the fused probabilities of one to four
@@ -136,8 +137,8 @@ def grabcut_prints(ea) -> dict[str, str]:
             dilate_radius=int(rng.integers(0, 9)),
             rng_seed=int(rng.integers(2**31)),
         )
-        mask, _ = ea.grabcut_refine(image, init, params)
-        out[f"grabcut_refine/{i:03d}"] = _digest_arrays(mask)
+        mask, trace = ea.grabcut_refine(image, init, params)
+        out[f"grabcut_refine/{i:03d}"] = _digest_arrays(mask, np.array(trace, dtype=np.float64))
     return out
 
 

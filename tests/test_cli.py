@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -895,6 +896,17 @@ def test_roi_crop_rejects_non_finite_expand(capsys, tmp_path, ratio):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", ["1,2,3", "1,2,3,4,5", "a,b,c,d", "1,2,3,", ""])
+def test_roi_crop_rejects_malformed_box(capsys, tmp_path, box):
+    ea.write_label_map(np.zeros((8, 8), dtype=np.uint8), tmp_path / "l.pgm")
+    before = _tree(tmp_path)
+    argv = ["roi", "crop", "--labels", str(tmp_path / "l.pgm"), "--box", box]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "c.pgm"))
+    assert code == 2 and out == ""
+    assert err == f"error: box must be x0,y0,x1,y1 with integers, got {box!r}\n"
+    assert _tree(tmp_path) == before
+
+
 def test_roi_crop_from_jsonl(capsys, tmp_path):
     labels = np.arange(16, dtype=np.uint8).reshape(4, 4)
     ea.write_label_map(labels, tmp_path / "l.pgm")
@@ -1605,3 +1617,126 @@ def test_two_main_calls_freeze_the_heap_once(tmp_path):
         "assert codes == [0, 0]\n"
     )
     assert _python_json(script, cwd=tmp_path) == [1, True]
+
+
+# --- adversarial inputs ---
+
+# each case edits one input of a valid clip so that it must be malformed; the
+# seed and the case index fix every edit
+_MUTATION_SEED = 20210625
+
+
+def _other(value: int, rng, high: int) -> int:
+    """A value in 0..high-1 other than ``value``."""
+    return (value + int(rng.integers(1, high))) % high
+
+
+def _truncate(data: bytes, rng) -> bytes:
+    return data[: int(rng.integers(0, len(data)))]
+
+
+def _append_byte(data: bytes, rng) -> bytes:
+    return data + bytes([int(rng.integers(0, 256))])
+
+
+def _magic(size: int):
+    def edit(data: bytes, rng) -> bytes:
+        i = int(rng.integers(0, size))
+        return data[:i] + bytes([_other(data[i], rng, 256)]) + data[i + 1 :]
+
+    return edit
+
+
+def _pnm_field(index: int):
+    """Edit width (0), height (1) or maxval (2) of a ``P5``/``P6`` file as the writers lay it out."""
+
+    def edit(data: bytes, rng) -> bytes:
+        magic, size, maxval, payload = data.split(b"\n", 3)
+        fields = size.split(b" ") + [maxval]
+        fields[index] = b"%d" % _other(int(fields[index]), rng, 1000)
+        return b"%s\n%s %s\n%s\n" % (magic, *fields) + payload
+
+    return edit
+
+
+def _fplt_field(index: int):
+    """Edit the version (0) or the channel count C (1) of an FPLT file."""
+
+    def edit(data: bytes, rng) -> bytes:
+        fields = list(struct.unpack_from("<IIII", data, 4))
+        fields[index] = _other(fields[index], rng, 8)
+        return data[:4] + struct.pack("<IIII", *fields) + data[20:]
+
+    return edit
+
+
+def _non_finite(data: bytes, rng) -> bytes:
+    i = 20 + 4 * int(rng.integers(0, (len(data) - 20) // 4))
+    value = (np.nan, np.inf, -np.inf)[int(rng.integers(0, 3))]
+    return data[:i] + struct.pack("<f", value) + data[i + 4 :]
+
+
+def _non_utf8(data: bytes, rng) -> bytes:
+    # the clip's text files are ASCII, where any one byte >= 0x80 is not UTF-8
+    i = int(rng.integers(0, len(data) + 1))
+    return data[:i] + bytes([int(rng.integers(0x80, 0x100))]) + data[i:]
+
+
+_MUTATIONS = {
+    "truncate": _truncate,
+    "append": _append_byte,
+    "pnm-magic": _magic(2),
+    "width": _pnm_field(0),
+    "height": _pnm_field(1),
+    "maxval": _pnm_field(2),
+    "fplt-magic": _magic(4),
+    "version": _fplt_field(0),
+    "channels": _fplt_field(1),
+    "non-finite": _non_finite,
+    "non-utf8": _non_utf8,
+}
+_PNM_EDITS = ("truncate", "truncate", "append", "pnm-magic", "width", "height", "maxval")
+_FPLT_EDITS = ("truncate", "truncate", "append", "fplt-magic", "version", "channels", "non-finite", "non-finite")
+_MUTATION_CASES = (
+    [(target, m) for target in ("image", "gt") for m in _PNM_EDITS]
+    + [("member", m) for m in _FPLT_EDITS]
+    + [(target, "non-utf8") for target in ("boxes", "config") for _ in range(2)]
+)
+
+
+@pytest.mark.parametrize(
+    "index", range(len(_MUTATION_CASES)), ids=[f"{i}-{t}-{m}" for i, (t, m) in enumerate(_MUTATION_CASES)]
+)
+def test_malformed_input_is_exit_2_with_no_output(capsys, tmp_path, index):
+    target, mutation = _MUTATION_CASES[index]
+    rng = np.random.default_rng([_MUTATION_SEED, index])
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    shutil.copytree(paths["gt"], tmp_path / "pred")
+    config = tmp_path / "config.json"
+    config.write_text('{"rng_seed": 5}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_bytes(b"an earlier report\n")
+    stem = f"{int(rng.integers(0, 2)):03d}"
+    member = paths[("clean", "degraded")[int(rng.integers(0, 2))]]
+    victim = {
+        "image": paths["images"] / f"{stem}.ppm",
+        "gt": paths["gt"] / f"{stem}.pgm",
+        "member": member / f"{stem}__0.fplt",
+        "boxes": paths["boxes"],
+        "config": config,
+    }[target]
+    victim.write_bytes(_MUTATIONS[mutation](victim.read_bytes(), rng))
+
+    pipeline = ["--config", str(config), *_pipeline_argv(paths, out)]
+    runs = [["--jobs", "1", *pipeline], ["--jobs", "2", *pipeline]]
+    if target in ("gt", "config"):
+        evaluate = ["eval", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(paths["gt"])]
+        runs.append(["--config", str(config), *evaluate, "--out", str(out / "report.json")])
+    before = _tree(tmp_path)
+    for argv in runs:
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "", (argv, err)
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert _tree(tmp_path) == before
+        assert (out / "report.json").read_bytes() == b"an earlier report\n"

@@ -69,10 +69,14 @@ def test_gmm_two_well_separated_clusters():
     rng = np.random.default_rng(0)
     a = rng.normal((10, 10, 10), 1.0, (50, 3))
     b = rng.normal((200, 200, 200), 1.0, (50, 3))
-    gmm, trace = fit_gmm(np.vstack([a, b]), 2, 7, with_trace=True)
+    px = np.vstack([a, b])
+    gmm = fit_gmm(px, 2, 7)
     assert sorted(gmm.weights.tolist()) == [0.5, 0.5]
     got = sorted(gmm.means[:, 0].tolist())
     assert abs(got[0] - 10) < 1.0 and abs(got[1] - 200) < 1.0
+    want, trace, _ = helpers.oracle_fit_gmm(px, 2, 7)
+    for name in ("weights", "means", "covariances"):
+        assert getattr(gmm, name).tobytes() == getattr(want, name).tobytes()
     assert all(t2 >= t1 - 1e-9 for t1, t2 in zip(trace, trace[1:]))
 
 
@@ -117,14 +121,11 @@ def _oracle_fit_inputs():
 def test_gmm_matches_refit_loop_oracle():
     capped = 0
     for px, k, seed in _oracle_fit_inputs():
-        want, want_trace, stable = helpers.oracle_fit_gmm(px, k, seed)
-        gmm, trace = fit_gmm(px, k, seed, with_trace=True)
-        plain = fit_gmm(px, k, seed)
-        for got in (gmm, plain):
-            assert got.weights.tobytes() == want.weights.tobytes()
-            assert got.means.tobytes() == want.means.tobytes()
-            assert got.covariances.tobytes() == want.covariances.tobytes()
-        assert trace == want_trace
+        want, _, stable = helpers.oracle_fit_gmm(px, k, seed)
+        got = fit_gmm(px, k, seed)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.covariances.tobytes() == want.covariances.tobytes()
         capped += not stable
     assert capped > 0  # some fits must end on the round cap, not on a repeat
     assert capped < 60
@@ -147,7 +148,7 @@ def test_gmm_scores_each_model_once(monkeypatch):
     monkeypatch.setattr(grabcut.ColorGmm, "_component_logpdf", counting_logpdf)
     for px, k, seed in _oracle_fit_inputs():
         counts.update(models=0, scored=0)
-        fit_gmm(px, k, seed, with_trace=seed % 2 == 0)
+        fit_gmm(px, k, seed)
         assert 1 <= counts["scored"] <= counts["models"] <= _GMM_ROUNDS + 1
 
 
@@ -423,12 +424,17 @@ def _reduction_grids():
         yield GridGraph(src, snk, edges, cap)
 
 
+def _reduced_cut_all_free(g: GridGraph) -> np.ndarray:
+    n = len(g.source_cap)
+    return grabcut._reduced_cut(g, grabcut._neighbour_table(n, g.edges, g.edge_cap), np.full(n, grabcut._FREE))
+
+
 def test_reduced_cut_matches_max_flow_on_the_whole_graph(monkeypatch):
     calls = _count_max_flow(monkeypatch)
     nodes = fixed = 0
     for g in _reduction_grids():
         calls.clear()
-        side = grabcut._reduced_cut(g)
+        side = _reduced_cut_all_free(g)
         want = max_flow(g)[1]
         assert side.dtype == want.dtype
         assert side.tobytes() == want.tobytes()
@@ -451,7 +457,7 @@ def test_reduction_leaves_source_ties_free_and_fixes_sink_ties(monkeypatch):
     for source_ties, searched in ((True, 6), (False, 0)):
         calls.clear()
         g = _tied_path(source_ties)
-        side = grabcut._reduced_cut(g)
+        side = _reduced_cut_all_free(g)
         assert len(calls[0].source_cap) == searched
         assert side.tobytes() == max_flow(g)[1].tobytes()
 
@@ -491,11 +497,11 @@ def _oracle_cut(z, trimap, data_fg, data_bg, gamma) -> np.ndarray:
     return cut
 
 
-def test_ring_cut_equals_max_flow_on_the_folded_graph():
+def test_window_cut_equals_max_flow_on_the_folded_graph():
     cases = searched = 0
     for z, trimap, data_fg, data_bg, gamma in _random_windows(12, 56):
         edges, edge_cap = grabcut._window_edges(z, gamma)
-        got = grabcut._ring_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+        got = grabcut._window_cut(trimap, edges, edge_cap)(data_fg, data_bg)
         want = _oracle_cut(z, trimap, data_fg, data_bg, gamma)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -504,10 +510,10 @@ def test_ring_cut_equals_max_flow_on_the_folded_graph():
     assert cases == 56 and searched >= 40
 
 
-def test_ring_cut_on_one_colour_windows_has_the_folded_cut_energy():
+def test_window_cut_on_one_colour_windows_has_the_folded_cut_energy():
     for z, trimap, data_fg, data_bg, gamma in _random_windows(13, 24, one_colour=True):
         edges, edge_cap = grabcut._window_edges(z, gamma)
-        got = grabcut._ring_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+        got = grabcut._window_cut(trimap, edges, edge_cap)(data_fg, data_bg)
         want = _oracle_cut(z, trimap, data_fg, data_bg, gamma)
         e_got = grabcut._labeling_energy(got, data_fg, data_bg, edges, edge_cap)
         e_want = grabcut._labeling_energy(want, data_fg, data_bg, edges, edge_cap)
@@ -521,7 +527,7 @@ def test_labeling_energy_equals_the_double_loop():
     for one_colour in (False, True):
         for z, trimap, data_fg, data_bg, gamma in _random_windows(15 + one_colour, 16, one_colour):
             edges, edge_cap = grabcut._window_edges(z, gamma)
-            cut = grabcut._ring_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+            cut = grabcut._window_cut(trimap, edges, edge_cap)(data_fg, data_bg)
             for alpha in (cut, trimap.definite_fg(), rng.random(cut.shape) < 0.5):
                 got = grabcut._labeling_energy(alpha, data_fg, data_bg, edges, edge_cap)
                 want = helpers.oracle_labeling_energy(alpha, data_fg, data_bg, z, gamma)

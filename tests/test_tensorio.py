@@ -136,6 +136,15 @@ def test_fplt_bad_magic(tmp_path):
         ea.read_logits(p)
 
 
+@pytest.mark.parametrize("data", [b"", b"F", b"FP", b"FPL", b"XYZ"])
+def test_fplt_shorter_than_its_magic(tmp_path, data):
+    p = tmp_path / "a.fplt"
+    p.write_bytes(data)
+    with pytest.raises(BadMagic) as info:
+        ea.read_logits(p)
+    assert str(info.value) == f"{p}: expected magic FPLT, found {data!r}"
+
+
 def test_fplt_bad_version(tmp_path):
     p = tmp_path / "a.fplt"
     p.write_bytes(b"FPLT" + struct.pack("<IIII", 2, 1, 1, 1) + bytes(4))

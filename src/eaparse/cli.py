@@ -64,11 +64,13 @@ from .segloss import (
     LossResult,
     LossWeights,
     boundary_bce,
+    edge_attention_loss,
     softmax_cross_entropy,
     total_loss,
 )
 from .tensorio import (
     _label_map_bytes,
+    _read_text,
     _rgb_image_bytes,
     _write_files,
     read_label_map,
@@ -139,12 +141,9 @@ def _merge_config(base: dict, override: dict, scope: str = "config") -> dict:
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ToolkitError(f"{path}: not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ToolkitError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _effective_config(args) -> dict:
@@ -185,35 +184,29 @@ def _parse_classes(text: str) -> list[int]:
 def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
     """One {"frame": name, "box": [x0,y0,x1,y1]} object per line."""
     boxes: dict[str, list[Box]] = defaultdict(list)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for ln, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ToolkitError(f"{path}:{ln}: not valid JSON: {exc}") from exc
-                if (
-                    not isinstance(entry, dict)
-                    or "frame" not in entry
-                    or "box" not in entry
-                    or not isinstance(entry["box"], list)
-                    or len(entry["box"]) != 4
-                ):
-                    raise ToolkitError(
-                        f'{path}:{ln}: expected {{"frame": name, "box": [x0,y0,x1,y1]}}'
-                    )
-                try:
-                    box = Box(*entry["box"])
-                except ToolkitError as exc:
-                    raise ToolkitError(f"{path}:{ln}: {exc}") from exc
-                boxes[str(entry["frame"])].append(box)
-    except OSError as exc:
-        raise ToolkitError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ToolkitError(f"{path}: not UTF-8 text: {exc}") from exc
+    # lines end at "\n" alone once _read_text has translated "\r\n" and "\r", as in
+    # text mode; str.splitlines would also split inside a name holding "\u2028"
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ToolkitError(f"{path}:{ln}: not valid JSON: {exc}") from exc
+        if (
+            not isinstance(entry, dict)
+            or "frame" not in entry
+            or "box" not in entry
+            or not isinstance(entry["box"], list)
+            or len(entry["box"]) != 4
+        ):
+            raise ToolkitError(f'{path}:{ln}: expected {{"frame": name, "box": [x0,y0,x1,y1]}}')
+        try:
+            box = Box(*entry["box"])
+        except ToolkitError as exc:
+            raise ToolkitError(f"{path}:{ln}: {exc}") from exc
+        boxes[str(entry["frame"])].append(box)
     return dict(boxes)
 
 
@@ -251,14 +244,14 @@ def _cmd_loss(cfg, args) -> int:
     want_grad = args.grad_out is not None
     logits = read_logits(args.logits)
     labels = read_label_map(args.labels)
-    mask = read_label_map(args.mask) if args.mask else None
+    mask = read_label_map(args.mask) if args.mask is not None else None
     seg = softmax_cross_entropy(logits, labels, mask, want_gradient=want_grad)
 
     zero_grad = np.zeros(logits.shape, dtype=np.float64) if want_grad else None
     edge = LossResult(0.0, 0, zero_grad)
     if args.edge_mask_radius is not None:
         em = edge_attention_mask(labels, args.edge_mask_radius)
-        edge = softmax_cross_entropy(logits, labels, em, want_gradient=want_grad)
+        edge = edge_attention_loss(logits, labels, em, want_gradient=want_grad)
 
     bnd = LossResult(0.0, 0, np.zeros(labels.shape) if want_grad else None)
     if args.edge_logits is not None:

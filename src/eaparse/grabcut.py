@@ -543,9 +543,8 @@ def _window_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray):
     states are built once; the returned function maps the data terms (flat
     over the window) to the window's foreground after the cut.
     """
-    pixel = trimap.data.reshape(-1)
-    table = _neighbour_table(pixel.size, edges, edge_cap)
-    state = np.select([pixel == TRIMAP_FG, pixel == TRIMAP_BG], [_SOURCE, _SINK], _FREE)
+    table = _neighbour_table(trimap.data.size, edges, edge_cap)
+    state = np.select([trimap.definite_fg(), trimap.definite_bg()], [_SOURCE, _SINK], _FREE).reshape(-1)
 
     def cut(data_fg: np.ndarray, data_bg: np.ndarray) -> np.ndarray:
         # source side = foreground: the link a cut severs is the one to the

@@ -70,16 +70,19 @@ def expand_box(box: Box, ratio: float, frame_w: int, frame_h: int) -> Box:
     return Box(x0, y0, x1, y1)
 
 
+def _in_frame(box: Box, shape) -> tuple[slice, slice]:
+    """The rows and columns of ``box`` in a raster of ``shape``; OutOfBounds unless it fits."""
+    h, w = shape[:2]
+    if box.x0 < 0 or box.y0 < 0 or box.x1 > w or box.y1 > h:
+        raise OutOfBounds(f"box ({box.x0},{box.y0})-({box.x1},{box.y1}) exceeds frame {w} x {h}")
+    return slice(box.y0, box.y1), slice(box.x0, box.x1)
+
+
 def crop(raster, box: Box) -> np.ndarray:
     """Copy the pixels of ``box`` out of a label map or RGB image."""
     a = np.asarray(raster)
     a = ensure_rgb_image(a) if a.ndim == 3 else ensure_label_map(a)
-    h, w = a.shape[:2]
-    if box.x0 < 0 or box.y0 < 0 or box.x1 > w or box.y1 > h:
-        raise OutOfBounds(
-            f"box ({box.x0},{box.y0})-({box.x1},{box.y1}) exceeds frame {w} x {h}"
-        )
-    return a[box.y0 : box.y1, box.x0 : box.x1].copy()
+    return a[_in_frame(box, a.shape)].copy()
 
 
 def paste(
@@ -99,11 +102,7 @@ def paste(
     """
     cv = ensure_label_map(canvas)
     pt = ensure_label_map(patch)
-    h, w = cv.shape
-    if box.x0 < 0 or box.y0 < 0 or box.x1 > w or box.y1 > h:
-        raise OutOfBounds(
-            f"box ({box.x0},{box.y0})-({box.x1},{box.y1}) exceeds frame {w} x {h}"
-        )
+    rows_cols = _in_frame(box, cv.shape)
     if pt.shape != (box.height, box.width):
         raise SizeMismatch(
             f"patch shape {pt.shape} != box extent {(box.height, box.width)}"
@@ -112,7 +111,7 @@ def paste(
         raise SizeMismatch("confidence must be given for both canvas and patch or neither")
 
     out = cv.copy()
-    window = out[box.y0 : box.y1, box.x0 : box.x1]
+    window = out[rows_cols]
     if canvas_confidence is None:
         take = pt != 0
     else:
@@ -122,6 +121,6 @@ def paste(
             raise SizeMismatch(f"canvas confidence shape {cc.shape} != canvas {cv.shape}")
         if pc.shape != pt.shape:
             raise SizeMismatch(f"patch confidence shape {pc.shape} != patch {pt.shape}")
-        take = pc > cc[box.y0 : box.y1, box.x0 : box.x1]
+        take = pc > cc[rows_cols]
     window[take] = pt[take]
     return out

@@ -12,6 +12,10 @@ Headers are ASCII, payloads little-endian; ``#`` comments in PGM/PPM headers
 are rejected so the grammar stays single-pass. Readers never hand back a
 value that violates the target type's invariants.
 
+The JSON and JSONL settings files are read by ``_read_text``: strict UTF-8,
+with ``\\r\\n`` and ``\\r`` read as ``\\n`` as in text mode. Every reader
+reports a file it cannot open as IoFailure, ``cannot read <path>: ...``.
+
 In memory the domain types are plain numpy arrays:
 
 * LabelMap    -- (H, W) uint8, one class id per pixel, 0 = background
@@ -23,6 +27,7 @@ In memory the domain types are plain numpy arrays:
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 
@@ -35,6 +40,7 @@ from .errors import (
     IoFailure,
     MalformedHeader,
     NonFiniteValue,
+    ToolkitError,
     TrailingData,
     TruncatedData,
     UnsupportedMaxval,
@@ -141,6 +147,14 @@ def _read_file(path) -> bytes:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file as text mode reads it: ``\\r\\n`` and ``\\r`` become ``\\n``."""
+    try:
+        return io.StringIO(_read_file(path).decode("utf-8"), newline=None).read()
+    except UnicodeDecodeError as exc:
+        raise ToolkitError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _write_files(items) -> None:
     """Replace every ``(path, payload)`` of ``items`` whole, or none of them.
 
@@ -193,19 +207,29 @@ def _check_payload(data: bytes, offset: int, expected: int, path) -> None:
         raise TrailingData(f"{path}: {got - expected} unexpected bytes after payload")
 
 
+def _read_pnm(path, magic: bytes, depth: int) -> np.ndarray:
+    """Read a binary PGM (``P5``, depth 1) or PPM (``P6``, depth 3) file into uint8 pixels."""
+    data = _read_file(path)
+    w, h, off = _parse_pnm_header(data, magic, path)
+    _check_payload(data, off, h * w * depth, path)
+    shape = (h, w) if depth == 1 else (h, w, depth)
+    return np.frombuffer(data, np.uint8, h * w * depth, off).reshape(shape).copy()
+
+
+def _pnm_bytes(magic: bytes, a: np.ndarray) -> bytes:
+    """A validated uint8 raster as binary PGM/PPM bytes, byte-deterministically."""
+    h, w = a.shape[:2]
+    return b"%s\n%d %d\n255\n" % (magic, w, h) + a.tobytes()
+
+
 def read_label_map(path) -> np.ndarray:
     """Read a binary PGM file into a (H, W) uint8 label map."""
-    data = _read_file(path)
-    w, h, off = _parse_pnm_header(data, b"P5", path)
-    _check_payload(data, off, h * w, path)
-    return np.frombuffer(data, np.uint8, h * w, off).reshape(h, w).copy()
+    return _read_pnm(path, b"P5", 1)
 
 
 def _label_map_bytes(label_map) -> bytes:
     """A label map as binary PGM bytes, byte-deterministically."""
-    a = ensure_label_map(label_map)
-    h, w = a.shape
-    return b"P5\n%d %d\n255\n" % (w, h) + a.tobytes()
+    return _pnm_bytes(b"P5", ensure_label_map(label_map))
 
 
 def write_label_map(label_map, path) -> None:
@@ -215,17 +239,12 @@ def write_label_map(label_map, path) -> None:
 
 def read_rgb_image(path) -> np.ndarray:
     """Read a binary PPM file into a (H, W, 3) uint8 image."""
-    data = _read_file(path)
-    w, h, off = _parse_pnm_header(data, b"P6", path)
-    _check_payload(data, off, h * w * 3, path)
-    return np.frombuffer(data, np.uint8, h * w * 3, off).reshape(h, w, 3).copy()
+    return _read_pnm(path, b"P6", 3)
 
 
 def _rgb_image_bytes(image) -> bytes:
     """An RGB image as binary PPM bytes, byte-deterministically."""
-    a = ensure_rgb_image(image)
-    h, w, _ = a.shape
-    return b"P6\n%d %d\n255\n" % (w, h) + a.tobytes()
+    return _pnm_bytes(b"P6", ensure_rgb_image(image))
 
 
 def write_rgb_image(image, path) -> None:

@@ -7,9 +7,10 @@
 The first two forms import ``eaparse`` from ``--src`` (by default the
 ``src`` beside this file) and write a JSON object of sha256 digests:
 
-* ``pipeline/<workload>/seed<s>``: the ``pipeline`` output directory (every
-  file name and its bytes, in name order) of each benchmark workload at
-  seeds 1-3, on the clip ``bench/gen.py`` writes for it;
+* ``pipeline/<workload>/seed<s>/jobs<j>``: the ``pipeline`` output
+  directory (every file name and its bytes, in name order) of each benchmark
+  workload at seeds 1-3, on the clip ``bench/gen.py`` writes for it, run at
+  ``--jobs 1`` and at ``--jobs 2``;
 * ``fit_gmm/<i>``: the weights, means and covariances of seeded random
   mixture fits;
 * ``grabcut_refine/<i>``: the refined mask of a seeded random scene and
@@ -50,6 +51,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+JOBS = (1, 2)  # frames in this process, and in two forked workers
 N_RANDOM = 320  # cases per random group
 
 
@@ -74,10 +76,13 @@ def pipeline_prints(cli, gen) -> dict[str, str]:
             for seed in SEEDS:
                 work = Path(tmp) / f"{workload}-{seed}"
                 clip = gen.make_clip(workload, seed, work / "clip")
-                code = cli.main(gen.pipeline_args(clip, work / "out"))
-                if code != 0:
-                    raise SystemExit(f"pipeline on {workload} seed {seed} exited {code}")
-                out[f"pipeline/{workload}/seed{seed}"] = _digest_dir(work / "out")
+                for jobs in JOBS:
+                    argv = gen.pipeline_args(clip, work / f"out{jobs}")
+                    argv[argv.index("--jobs") + 1] = str(jobs)
+                    code = cli.main(argv)
+                    if code != 0:
+                        raise SystemExit(f"pipeline on {workload} seed {seed} at --jobs {jobs} exited {code}")
+                    out[f"pipeline/{workload}/seed{seed}/jobs{jobs}"] = _digest_dir(work / f"out{jobs}")
     return out
 
 

@@ -156,6 +156,31 @@ def test_flag_beats_config_beats_default(capsys, tmp_path, command, flag, path, 
     assert seen == [_at(cli.DEFAULT_CONFIG, path), cfg_value, value]
 
 
+@pytest.mark.parametrize(
+    "sub, key, cfg_value",
+    [
+        (["ensemble", "--inputs", "x.fplt", "--height", "5", "--width", "6", "--out", "e.pgm"], "ensemble_size", [7, 8]),
+        (
+            ["augment", "--op", "hflip", "--image", "i.ppm", "--labels", "l.pgm", "--config", "swaps.json"]
+            + ["--out-prefix", "p"],
+            "swap_pairs",
+            [[1, 2]],
+        ),
+    ],
+    ids=["ensemble-size", "augment-swaps"],
+)
+def test_print_config_omits_the_flags_their_handlers_merge(capsys, tmp_path, sub, key, cfg_value):
+    # the handlers apply these flags over cfg themselves; the swaps file is never read here
+    code, out, err = run(capsys, "--print-config", *sub)
+    assert code == 0, err
+    assert json.loads(out) == cli.DEFAULT_CONFIG
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: cfg_value}))
+    code, out, err = run(capsys, "--config", str(config), "--print-config", *sub)
+    assert code == 0, err
+    assert json.loads(out) == {**cli.DEFAULT_CONFIG, key: cfg_value}
+
+
 MISTYPED = {
     "gamma-string": ('{"grabcut": {"gamma": "abc"}}', "grabcut.gamma"),
     "radius-fraction": ('{"edge_radius": 1.7}', "edge_radius"),
@@ -573,7 +598,9 @@ def test_grabcut_huge_trimap_radii_finish(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--gamma", "nan"], ["--gamma", "inf"], ["--seed", "-1"]], ids=["nan", "inf", "seed"]
+    "extra",
+    [["--gamma", "nan"], ["--gamma", "inf"], ["--seed", "-1"], ["--erode", "-1"], ["--dilate", "-1"]],
+    ids=["nan", "inf", "seed", "erode", "dilate"],
 )
 def test_grabcut_rejects_bad_params(capsys, tmp_path, extra):
     code, _, err = run(capsys, *_grabcut_argv(tmp_path), *extra)
@@ -1071,6 +1098,82 @@ def test_non_utf8_text_input_is_exit_2(capsys, tmp_path, route):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {bad}: not UTF-8 text")
     assert "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "route", ["print-config", "config", "augment-config", "pipeline-boxes", "roi-boxes-jsonl"]
+)
+def test_unreadable_text_input_is_cannot_read(capsys, tmp_path, route, kind):
+    argv, bad = _non_utf8_case(tmp_path, route)
+    bad.unlink()
+    if kind == "directory":
+        bad.mkdir()
+    before = _tree(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err, err
+    assert _tree(tmp_path) == before
+
+
+def _text_mode_error(path) -> str:
+    """What ``json.load`` on ``path`` opened in text mode as UTF-8 raises, as text."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return str(exc)
+    raise AssertionError(f"{path} is valid JSON")
+
+
+@pytest.mark.parametrize(
+    "data, what",
+    [
+        (b'{\r\n  "rng_seed": 1,\r\n  "edge_radius": ,\r\n}\r\n', "not valid JSON"),
+        (b'{\r  "rng_seed": 1,\r  "edge_radius": ,\r}\r', "not valid JSON"),
+        (b'{"rng_seed": 1,\n "edge_radius": 2\n}\n}', "not valid JSON"),
+        (b'{"rng_seed": 1, "name": "\xc3"}', "not UTF-8 text"),
+    ],
+    ids=["crlf", "cr", "lf-extra", "utf8-cut"],
+)
+def test_config_errors_read_as_text_mode_reads_them(capsys, tmp_path, data, what):
+    config = tmp_path / "c.json"
+    config.write_bytes(data)
+    code, out, err = run(capsys, "--config", str(config), "--print-config")
+    assert code == 2 and out == ""
+    assert err == f"error: {config}: {what}: {_text_mode_error(config)}\n"
+
+
+def test_boxes_jsonl_splits_lines_as_text_mode_does(tmp_path):
+    # "\u2028" and "\x85" end a line for str.splitlines, but not in text mode
+    lines = [
+        '{"frame": "a\u2028b", "box": [0, 0, 2, 2]}',
+        '{"frame": "c\x85", "box": [1, 1, 3, 3]}',
+        "  ",
+        '{"frame": "a\u2028b", "box": [2, 2, 4, 4]}',
+        "",
+    ]
+    path = tmp_path / "boxes.jsonl"
+    path.write_bytes("\r".join(lines[:2]).encode() + b"\r\n" + "\n".join(lines[2:]).encode())
+    assert cli._read_boxes_jsonl(path) == {
+        "a\u2028b": [ea.Box(0, 0, 2, 2), ea.Box(2, 2, 4, 4)],
+        "c\x85": [ea.Box(1, 1, 3, 3)],
+    }
+    path.write_bytes(b'{"frame": "a", "box": [0, 0, 2, 2]}\r\n\r{"frame": }\n')
+    with pytest.raises(ea.ToolkitError, match=r":3: not valid JSON: Expecting value"):
+        cli._read_boxes_jsonl(path)
+
+
+@pytest.mark.parametrize("flag", ["--mask", "--edge-logits"])
+def test_loss_empty_optional_path_is_exit_2(capsys, tmp_path, flag):
+    _loss_fixture(tmp_path)
+    before = _tree(tmp_path)
+    code, out, err = run(
+        capsys, "loss", "--logits", str(tmp_path / "x.fplt"), "--labels", str(tmp_path / "y.pgm"), flag, ""
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read : ") and "Traceback" not in err, err
     assert _tree(tmp_path) == before
 
 
@@ -1682,6 +1785,25 @@ def _non_utf8(data: bytes, rng) -> bytes:
     return data[:i] + bytes([int(rng.integers(0x80, 0x100))]) + data[i:]
 
 
+def _header_flip(data: bytes, rng) -> bytes:
+    """Replace one header byte of a PGM, PPM or FPLT file so that the header must be rejected.
+
+    An FPLT byte among magic, version, C, H and W takes any other value: the magic or
+    the version is then wrong, a side is 0, or C*H*W no longer fits the payload. A
+    PGM/PPM header byte becomes a byte that is neither a digit nor whitespace, which
+    the header grammar accepts nowhere: it breaks the magic, takes the place of a
+    field's digits or of the whitespace before or after a field.
+    """
+    if data[:4] == b"FPLT":
+        i = int(rng.integers(0, 20))
+        value = _other(data[i], rng, 256)
+    else:
+        i = int(rng.integers(0, len(b"\n".join(data.split(b"\n", 3)[:3])) + 1))
+        allowed = [b for b in range(256) if b not in b"0123456789 \t\r\n\x0b\x0c" and b != data[i]]
+        value = allowed[int(rng.integers(0, len(allowed)))]
+    return data[:i] + bytes([value]) + data[i + 1 :]
+
+
 _MUTATIONS = {
     "truncate": _truncate,
     "append": _append_byte,
@@ -1694,22 +1816,42 @@ _MUTATIONS = {
     "channels": _fplt_field(1),
     "non-finite": _non_finite,
     "non-utf8": _non_utf8,
+    "header-flip": _header_flip,
 }
 _PNM_EDITS = ("truncate", "truncate", "append", "pnm-magic", "width", "height", "maxval")
 _FPLT_EDITS = ("truncate", "truncate", "append", "fplt-magic", "version", "channels", "non-finite", "non-finite")
+# the edits that must break an input of each kind, and the inputs of every
+# subcommand but pipeline and eval with their kinds
+_EDITS_OF = {
+    "pgm": ("truncate", "append", "header-flip"),
+    "ppm": ("truncate", "append", "header-flip"),
+    "fplt": ("truncate", "append", "header-flip", "non-finite"),
+    "text": ("non-utf8",),
+}
+_COMMAND_INPUTS = {
+    "edges": {"labels": "pgm"},
+    "loss": {"logits": "fplt", "labels": "pgm", "mask": "pgm", "edge-logits": "fplt"},
+    "augment": {"image": "ppm", "labels": "pgm", "swaps": "text"},
+    "grabcut": {"image": "ppm", "labels": "pgm"},
+    "ensemble": {"member": "fplt"},
+    "roi-crop": {"image": "ppm", "boxes": "text"},
+    "roi-paste": {"canvas": "pgm", "patch": "pgm", "boxes": "text"},
+}
 _MUTATION_CASES = (
-    [(target, m) for target in ("image", "gt") for m in _PNM_EDITS]
-    + [("member", m) for m in _FPLT_EDITS]
-    + [(target, "non-utf8") for target in ("boxes", "config") for _ in range(2)]
+    [("pipeline", target, m) for target in ("image", "gt") for m in _PNM_EDITS]
+    + [("pipeline", "member", m) for m in _FPLT_EDITS]
+    + [("pipeline", target, "non-utf8") for target in ("boxes", "config") for _ in range(2)]
+    + [("pipeline", target, "header-flip") for target in ("image", "gt", "member")]
+    + [
+        (command, target, m)
+        for command, inputs in _COMMAND_INPUTS.items()
+        for target, kind in inputs.items()
+        for m in _EDITS_OF[kind]
+    ]
 )
 
 
-@pytest.mark.parametrize(
-    "index", range(len(_MUTATION_CASES)), ids=[f"{i}-{t}-{m}" for i, (t, m) in enumerate(_MUTATION_CASES)]
-)
-def test_malformed_input_is_exit_2_with_no_output(capsys, tmp_path, index):
-    target, mutation = _MUTATION_CASES[index]
-    rng = np.random.default_rng([_MUTATION_SEED, index])
+def _pipeline_case(tmp_path, target: str, rng) -> tuple[list, Path, Path]:
     paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
     shutil.copytree(paths["gt"], tmp_path / "pred")
     config = tmp_path / "config.json"
@@ -1726,17 +1868,138 @@ def test_malformed_input_is_exit_2_with_no_output(capsys, tmp_path, index):
         "boxes": paths["boxes"],
         "config": config,
     }[target]
-    victim.write_bytes(_MUTATIONS[mutation](victim.read_bytes(), rng))
-
     pipeline = ["--config", str(config), *_pipeline_argv(paths, out)]
     runs = [["--jobs", "1", *pipeline], ["--jobs", "2", *pipeline]]
     if target in ("gt", "config"):
         evaluate = ["eval", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(paths["gt"])]
         runs.append(["--config", str(config), *evaluate, "--out", str(out / "report.json")])
+    return runs, victim, out / "report.json"
+
+
+def _command_inputs(root: Path) -> dict:
+    """Valid 12 x 12 inputs of every subcommand but ``pipeline`` and ``eval``, by target name."""
+    rng = np.random.default_rng(_MUTATION_SEED)
+    root.mkdir()
+    labels = np.zeros((12, 12), dtype=np.uint8)
+    labels[3:9, 2:7], labels[4:10, 7:11] = 1, 2
+    image = labels[..., None] * np.array([70, 40, 10]) + rng.integers(0, 30, (12, 12, 3))
+    f = {name: root / f"{name}.{ext}" for name, ext in (
+        ("labels", "pgm"), ("image", "ppm"), ("logits", "fplt"), ("member", "fplt"),
+        ("edge-logits", "fplt"), ("mask", "pgm"), ("patch", "pgm"), ("swaps", "json"), ("boxes", "jsonl"),
+    )}
+    ea.write_label_map(labels, f["labels"])
+    ea.write_rgb_image(image, f["image"])
+    ea.write_logits(rng.normal(0, 2, (3, 12, 12)), f["logits"])
+    ea.write_logits(rng.normal(0, 2, (3, 8, 8)), f["member"])
+    ea.write_logits(rng.normal(0, 2, (1, 12, 12)), f["edge-logits"])
+    ea.write_label_map((labels != 0).astype(np.uint8), f["mask"])
+    ea.write_label_map(labels[2:8, 3:9], f["patch"])
+    f["swaps"].write_text('{"swap_pairs": [[1, 2]]}\n', encoding="utf-8")
+    f["boxes"].write_text('{"frame": "f", "box": [3, 2, 9, 8]}\n', encoding="utf-8")
+    return {**f, "canvas": f["labels"]}
+
+
+def _command_case(tmp_path, command: str, target: str) -> tuple[list, Path, Path]:
+    f = _command_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "edges": ["edges", "--labels", f["labels"], "--out", out / "o.pgm"],
+        "loss": [
+            "loss", "--logits", f["logits"], "--labels", f["labels"], "--mask", f["mask"],
+            "--edge-mask-radius", "1", "--edge-logits", f["edge-logits"], "--grad-out", out / "g.fplt",
+        ],
+        "augment": [
+            "augment", "--op", "hflip", "--image", f["image"], "--labels", f["labels"],
+            "--config", f["swaps"], "--out-prefix", f"{out}/a_",
+        ],
+        "grabcut": [
+            "grabcut", "--image", f["image"], "--labels", f["labels"], "--class", "1",
+            "--out", out / "r.pgm", "--energy-trace", out / "t.json",
+        ],
+        "ensemble": ["ensemble", "--inputs", f["logits"], f["member"], "--out", out / "e.pgm"],
+        "roi-crop": [
+            "roi", "crop", "--image", f["image"], "--boxes-jsonl", f["boxes"], "--frame", "f",
+            "--out", out / "c.ppm",
+        ],
+        "roi-paste": [
+            "roi", "paste", "--canvas", f["canvas"], "--patch", f["patch"], "--boxes-jsonl", f["boxes"],
+            "--frame", "f", "--out", out / "p.pgm",
+        ],
+    }[command]
+    # a multi-file command's later output, else its one output, exists beforehand
+    existing = {"augment": out / "a_labels.pgm", "grabcut": out / "t.json"}.get(command, Path(argv[-1]))
+    existing.write_bytes(b"an earlier output\n")
+    return [[str(a) for a in argv]], f[target], existing
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_INPUTS))
+def test_malformed_input_cases_run_clean_unedited(capsys, tmp_path, command):
+    (argv,), _, _ = _command_case(tmp_path, command, next(iter(_COMMAND_INPUTS[command])))
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+def _malformed_case(tmp_path, index: int) -> tuple[list, Path]:
+    """Write case ``index``'s inputs and edit one of them; its runs, each of which must
+    exit 2, and an existing output file that no run may change."""
+    command, target, mutation = _MUTATION_CASES[index]
+    rng = np.random.default_rng([_MUTATION_SEED, index])
+    if command == "pipeline":
+        runs, victim, existing = _pipeline_case(tmp_path, target, rng)
+    else:
+        runs, victim, existing = _command_case(tmp_path, command, target)
+    victim.write_bytes(_MUTATIONS[mutation](victim.read_bytes(), rng))
+    return runs, existing
+
+
+def _case_id(index: int) -> str:
+    command, target, mutation = _MUTATION_CASES[index]
+    return f"{index}-{target}-{mutation}" if command == "pipeline" else f"{index}-{command}-{target}-{mutation}"
+
+
+@pytest.mark.parametrize("index", range(len(_MUTATION_CASES)), ids=_case_id)
+def test_malformed_input_is_exit_2_with_no_output(capsys, tmp_path, index):
+    runs, existing = _malformed_case(tmp_path, index)
+    earlier = existing.read_bytes()
     before = _tree(tmp_path)
     for argv in runs:
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == "", (argv, err)
         assert err.startswith("error: ") and "Traceback" not in err, err
         assert _tree(tmp_path) == before
-        assert (out / "report.json").read_bytes() == b"an earlier report\n"
+        assert existing.read_bytes() == earlier
+
+
+# one case per subcommand that the harness edits, run as a fresh process; a
+# pipeline case runs its --jobs 2 run, the second
+_PROCESS_CASES = [
+    _MUTATION_CASES.index(case)
+    for case in (
+        ("pipeline", "member", "header-flip"),
+        ("edges", "labels", "truncate"),
+        ("loss", "edge-logits", "non-finite"),
+        ("augment", "swaps", "non-utf8"),
+        ("grabcut", "image", "header-flip"),
+        ("ensemble", "member", "append"),
+        ("roi-crop", "boxes", "non-utf8"),
+        ("roi-paste", "patch", "header-flip"),
+    )
+]
+
+
+@pytest.mark.parametrize("index", _PROCESS_CASES, ids=_case_id)
+def test_malformed_input_is_exit_2_with_no_output_in_a_process(tmp_path, index):
+    runs, existing = _malformed_case(tmp_path, index)
+    earlier = existing.read_bytes()
+    before = _tree(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = runs[1] if len(runs) > 1 else runs[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "eaparse", *argv], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    assert _tree(tmp_path) == before
+    assert existing.read_bytes() == earlier

@@ -52,6 +52,8 @@ def test_trimap_rejects_degenerate_masks():
         build_trimap(np.zeros((4, 4), dtype=np.uint8), ea.GrabcutParams())
     with pytest.raises(DegenerateMask):
         build_trimap(np.ones((4, 4), dtype=np.uint8), ea.GrabcutParams())
+    with pytest.raises(DegenerateMask):  # an empty init mask: the window is the whole frame
+        ea.grabcut_refine(np.zeros((4, 4, 3), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8))
 
 
 # --- GMM fitting ---

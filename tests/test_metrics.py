@@ -38,9 +38,11 @@ def test_boundary_f_perfect_and_disjoint():
     gt = np.zeros((8, 8), dtype=np.uint8)
     gt[2:6, 2:6] = 1
     assert ea.boundary_f(gt, gt, 1, 0) == 1.0
+    assert ea.boundary_f(gt, gt, 1) == 1.0  # the size-based default tolerance
     pred = np.zeros_like(gt)
     pred[0, 0] = 1
     assert ea.boundary_f(pred, gt, 1, 0) < 1.0
+    assert ea.boundary_f(pred, gt, 1) == ea.boundary_f(pred, gt, 1, ea.default_tolerance(8, 8))
     assert ea.boundary_f(gt, gt, 5, 0) is None
     assert ea.boundary_f(np.zeros_like(gt), gt, 1, 0) == 0.0
     assert ea.boundary_f(gt, np.zeros_like(gt), 1, 0) == 0.0

@@ -49,6 +49,8 @@ def test_expand_rejects_bad_inputs():
             ea.expand_box(ea.Box(0, 0, 2, 2), ratio, 10, 10)
     with pytest.raises(InvalidBox):
         ea.expand_box(ea.Box(50, 50, 60, 60), 0.2, 10, 10)
+    with pytest.raises(InvalidBox, match="frame must be at least 1 x 1"):
+        ea.expand_box(ea.Box(0, 0, 2, 2), 0.2, 0, 10)
 
 
 def test_crop_labels_and_image():
@@ -116,6 +118,14 @@ def test_paste_error_cases():
             ea.Box(0, 0, 2, 2),
             canvas_confidence=np.ones((3, 3)),
             patch_confidence=np.ones((2, 2)),
+        )
+    with pytest.raises(SizeMismatch, match="patch confidence shape"):
+        ea.paste(
+            canvas,
+            patch,
+            ea.Box(0, 0, 2, 2),
+            canvas_confidence=np.ones((4, 4)),
+            patch_confidence=np.ones((2, 3)),
         )
 
 

@@ -102,6 +102,9 @@ def test_bce_zero_logits_is_log_two():
     r = ea.boundary_bce(np.zeros((1, 3, 3), dtype=np.float32), np.zeros((3, 3), dtype=np.uint8))
     assert abs(r.loss - math.log(2)) < 1e-12
     assert r.contributing_pixels == 9
+    plane = ea.boundary_bce(np.zeros((3, 3), dtype=np.float32), np.zeros((3, 3), dtype=np.uint8), want_gradient=True)
+    assert abs(plane.loss - math.log(2)) < 1e-12 and plane.contributing_pixels == 9
+    assert plane.gradient.shape == (3, 3)
 
 
 def test_bce_saturated():

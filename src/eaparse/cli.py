@@ -56,7 +56,7 @@ import numpy as np
 from .augment import SwapTable, cut_half, hflip_with_swap, rotate_quarter
 from .boundary import DEFAULT_EDGE_RADIUS, edge_attention_mask, extract_boundary
 from .ensemble import ensemble_argmax, ensemble_probabilities
-from .errors import ToolkitError
+from .errors import IoFailure, ToolkitError
 from .grabcut import GrabcutParams, _refine_class_with_trace, refine_class
 from .metrics import evaluate_frames
 from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
@@ -139,11 +139,11 @@ def _merge_config(base: dict, override: dict, scope: str = "config") -> dict:
     return out
 
 
-def _load_json(path):
+def _load_json(text: str, where):
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ToolkitError(f"{path}: not valid JSON: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ToolkitError(f"{where}: not valid JSON: {exc}") from exc
 
 
 def _effective_config(args) -> dict:
@@ -151,7 +151,7 @@ def _effective_config(args) -> dict:
     folded into one document so each value is checked against its default's kind."""
     user: dict = {}
     if args.config is not None:
-        user = _load_json(args.config)
+        user = _load_json(_read_text(args.config), args.config)
         if not isinstance(user, dict):
             raise ToolkitError(f"{args.config}: config must be a JSON object")
         _merge_config(DEFAULT_CONFIG, user)  # the file must be valid even where a flag wins
@@ -190,10 +190,7 @@ def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
         line = line.strip()
         if not line:
             continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ToolkitError(f"{path}:{ln}: not valid JSON: {exc}") from exc
+        entry = _load_json(line, f"{path}:{ln}")
         if (
             not isinstance(entry, dict)
             or "frame" not in entry
@@ -213,7 +210,7 @@ def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
 def _swap_table(cfg: dict, swaps_path) -> SwapTable:
     pairs = cfg["swap_pairs"]
     if swaps_path is not None:
-        doc = _load_json(swaps_path)
+        doc = _load_json(_read_text(swaps_path), swaps_path)
         if isinstance(doc, dict):
             if "swap_pairs" not in doc:
                 raise ToolkitError(f"{swaps_path}: expected a swap_pairs entry")
@@ -374,52 +371,44 @@ def _frame_seed(base_seed: int, frame_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, frame_index]).generate_state(1, dtype=np.uint64)[0])
 
 
-def _pipeline_frame(cfg, args, idx: int, stem: str, boxes: list[Box]):
-    image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
-    gt = read_label_map(Path(args.gt_dir) / f"{stem}.pgm")
-    h, w = image.shape[:2]
-
-    canvas = np.zeros((h, w), dtype=np.uint8)
-    confidence = np.zeros((h, w), dtype=np.float64)
-    for k, box in enumerate(boxes):
-        roi_box = expand_box(box, cfg["expand_ratio"], w, h)
-        members = []
-        for d in args.logits_dir:
-            path = Path(d) / f"{stem}__{k}.fplt"
-            if not path.exists() and k == 0 and len(boxes) == 1:
-                fallback = Path(d) / f"{stem}.fplt"
-                if fallback.exists():
-                    path = fallback
-            members.append(read_logits(path))
-        probs = ensemble_probabilities(members, roi_box.height, roi_box.width)
-        patch = probs.argmax(axis=0).astype(np.uint8)
-        patch_conf = probs.max(axis=0)
-        canvas = paste(
-            canvas,
-            patch,
-            roi_box,
-            canvas_confidence=confidence,
-            patch_confidence=patch_conf,
-        )
-        window = confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1]
-        confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1] = np.maximum(
-            window, patch_conf
-        )
-
-    refine_ids = cfg["grabcut"]["classes"]
-    # a frame seed loads numpy.random (~10 ms), so a pipeline that refines nothing derives none
-    params = _grabcut_params(cfg, _frame_seed(cfg["rng_seed"], idx)) if refine_ids else None
-    for class_id in refine_ids:
-        if (canvas == class_id).any():
-            canvas = refine_class(canvas, image, class_id, params)
-    return canvas, gt
-
-
-def _pipeline_task(task):
+def _pipeline_frame(task):
     """One frame of ``pipeline``, at module level so that a worker process can run it."""
     cfg, args, idx, stem, boxes = task
     try:
-        return _pipeline_frame(cfg, args, idx, stem, boxes)
+        image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
+        gt = read_label_map(Path(args.gt_dir) / f"{stem}.pgm")
+        h, w = image.shape[:2]
+
+        canvas = np.zeros((h, w), dtype=np.uint8)
+        confidence = np.zeros((h, w), dtype=np.float64)
+        for k, box in enumerate(boxes):
+            roi_box = expand_box(box, cfg["expand_ratio"], w, h)
+            members = []
+            for d in args.logits_dir:
+                path = Path(d) / f"{stem}__{k}.fplt"
+                if len(boxes) == 1 and not path.exists() and (Path(d) / f"{stem}.fplt").exists():
+                    path = Path(d) / f"{stem}.fplt"
+                members.append(read_logits(path))
+            probs = ensemble_probabilities(members, roi_box.height, roi_box.width)
+            patch = probs.argmax(axis=0).astype(np.uint8)
+            patch_conf = probs.max(axis=0)
+            canvas = paste(
+                canvas,
+                patch,
+                roi_box,
+                canvas_confidence=confidence,
+                patch_confidence=patch_conf,
+            )
+            window = confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1]
+            np.maximum(window, patch_conf, out=window)
+
+        refine_ids = cfg["grabcut"]["classes"]
+        # a frame seed loads numpy.random (~10 ms), so a pipeline that refines nothing derives none
+        params = _grabcut_params(cfg, _frame_seed(cfg["rng_seed"], idx)) if refine_ids else None
+        for class_id in refine_ids:
+            if (canvas == class_id).any():
+                canvas = refine_class(canvas, image, class_id, params)
+        return canvas, gt
     except ToolkitError as exc:
         raise type(exc)(f"frame {stem}: {exc}") from exc
 
@@ -441,20 +430,23 @@ def _cmd_pipeline(cfg, args) -> int:
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
     if context is None:
-        results = [_pipeline_task(task) for task in tasks]
+        results = [_pipeline_frame(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork-context pool starts all its workers at once, hence at most one per frame
         with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            results = list(pool.map(_pipeline_task, tasks))
+            results = list(pool.map(_pipeline_frame, tasks))
 
     preds = [r[0] for r in results]
     payload = _report_json(cfg, preds, [r[1] for r in results])
 
     # all computation succeeded; only now touch the disk
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out_dir}: {exc.strerror}") from exc
     outputs = [(out_dir / f"{stem}.pgm", _label_map_bytes(pred)) for stem, pred in zip(stems, preds)]
     _write_files(outputs + [(out_dir / "report.json", payload)])
     return 0

@@ -13,7 +13,12 @@ energy can rise between rounds.
 
 Everything here is deterministic: mixture fitting is seeded, the solver
 visits arcs in a fixed order, and a rerun with identical inputs produces a
-bit-identical mask.
+bit-identical mask. That holds on one machine, numpy build and BLAS kernel,
+for any BLAS thread count. It is not promised across BLAS kernels or numpy
+SIMD paths: the mixture scores go through BLAS products and LAPACK's
+Cholesky factor and inverse, whose bytes change with the kernel, so the
+energy trace does too. No mask has been seen to change that way, but none
+is promised not to.
 """
 
 from __future__ import annotations

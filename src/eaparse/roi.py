@@ -53,18 +53,22 @@ def expand_box(box: Box, ratio: float, frame_w: int, frame_h: int) -> Box:
     Each side moves outward by ratio * extent / 2, rounded outward (floor on
     the low edge, ceil on the high edge), then clamps to
     [0, frame_w) x [0, frame_h). Expanding by 0 returns the box unchanged
-    apart from clamping.
+    apart from clamping. A side or margin beyond float range raises
+    InvalidBox, as a negative or non-finite ratio does.
     """
     if not math.isfinite(ratio) or ratio < 0:
         raise InvalidBox(f"expand ratio must be finite and >= 0, got {ratio}")
     if frame_h < 1 or frame_w < 1:
         raise InvalidBox("frame must be at least 1 x 1")
-    dx = ratio * box.width / 2.0
-    dy = ratio * box.height / 2.0
-    x0 = max(0, math.floor(box.x0 - dx))
-    y0 = max(0, math.floor(box.y0 - dy))
-    x1 = min(frame_w, math.ceil(box.x1 + dx))
-    y1 = min(frame_h, math.ceil(box.y1 + dy))
+    try:  # a side beyond float range, or a margin that rounds to infinity
+        dx = ratio * box.width / 2.0
+        dy = ratio * box.height / 2.0
+        x0 = max(0, math.floor(box.x0 - dx))
+        y0 = max(0, math.floor(box.y0 - dy))
+        x1 = min(frame_w, math.ceil(box.x1 + dx))
+        y1 = min(frame_h, math.ceil(box.y1 + dy))
+    except OverflowError as exc:
+        raise InvalidBox(f"cannot expand the box by {ratio}: {exc}") from exc
     if x1 <= x0 or y1 <= y0:
         raise InvalidBox("box lies entirely outside the frame")
     return Box(x0, y0, x1, y1)

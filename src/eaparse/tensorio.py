@@ -196,7 +196,8 @@ def _write_files(items) -> None:
         for tmp in tmps:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        # the OS reason without the file name, which may be the random temporary one
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _check_payload(data: bytes, offset: int, expected: int, path) -> None:

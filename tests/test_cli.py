@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -1232,7 +1233,9 @@ def test_pipeline_rerun_leaves_exactly_its_outputs(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--seed", "-1"], ["--expand", "nan"]], ids=["negative-seed", "nan-expand"]
+    "extra",
+    [["--seed", "-1"], ["--expand", "nan"], ["--expand", "1e308"]],
+    ids=["negative-seed", "nan-expand", "huge-expand"],
 )
 def test_pipeline_rejects_bad_settings(capsys, tmp_path, extra):
     paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
@@ -1515,9 +1518,10 @@ def _on_glibc() -> bool:
         return False
 
 
-def _python_json(script: str, *args: str, cwd) -> object:
-    """Run ``script`` in a fresh interpreter on this checkout; its last stdout line, as JSON."""
-    env = dict(os.environ)
+def _python_json(script: str, *args: str, cwd, env_extra=None) -> object:
+    """Run ``script`` in a fresh interpreter on this checkout, with ``env_extra`` over
+    this environment; its last stdout line, as JSON."""
+    env = {**os.environ, **(env_extra or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
@@ -1804,6 +1808,52 @@ def _header_flip(data: bytes, rng) -> bytes:
     return data[:i] + bytes([value]) + data[i + 1 :]
 
 
+def _json_line(edit):
+    """Apply ``edit(line, rng)`` to one non-blank line of a JSON or JSONL file; the
+    file stays valid UTF-8, so only the JSON rule or the schema can reject it."""
+
+    def apply(data: bytes, rng) -> bytes:
+        lines = data.decode("utf-8").split("\n")
+        i = rng.choice([j for j, line in enumerate(lines) if line.strip()])
+        lines[i] = edit(lines[i], rng)
+        return "\n".join(lines).encode("utf-8")
+
+    return apply
+
+
+def _long_integer(line: str, rng) -> str:
+    """Replace one JSON integer outside a string with one of 5,000 digits, past int()'s limit."""
+    numbers = list(re.finditer(r'(?<!")\b\d+\b(?!")', line))
+    m = numbers[int(rng.integers(0, len(numbers)))]
+    return line[: m.start()] + "9" * 5000 + line[m.end() :]
+
+
+def _entry(edit):
+    """Apply ``edit(entry, rng)`` to the object of one boxes line, written back as the clip writes it."""
+
+    def apply(line: str, rng) -> str:
+        entry = json.loads(line)
+        edit(entry, rng)
+        return json.dumps(entry)
+
+    return _json_line(apply)
+
+
+def _huge_far_side(entry: dict, rng) -> None:
+    """Move x1 or y1 beyond float range, where no box expansion can reach."""
+    entry["box"][int(rng.integers(2, 4))] = 10**400
+
+
+def _coordinate(value):
+    """Set one box coordinate to ``value(old, rng)``."""
+
+    def edit(entry: dict, rng) -> None:
+        i = int(rng.integers(0, 4))
+        entry["box"][i] = value(entry["box"][i], rng)
+
+    return _entry(edit)
+
+
 _MUTATIONS = {
     "truncate": _truncate,
     "append": _append_byte,
@@ -1817,6 +1867,14 @@ _MUTATIONS = {
     "non-finite": _non_finite,
     "non-utf8": _non_utf8,
     "header-flip": _header_flip,
+    "deep-nesting": _json_line(lambda line, rng: "[" * 100_000 + line + "]" * 100_000),
+    "long-int": _json_line(_long_integer),
+    "huge-coord": _entry(_huge_far_side),
+    "array": _json_line(lambda line, rng: f"[{line}]"),
+    "box-3": _entry(lambda entry, rng: entry["box"].pop(int(rng.integers(0, 4)))),
+    "float-coord": _coordinate(lambda v, rng: float(v)),
+    "bool-coord": _coordinate(lambda v, rng: bool(rng.integers(0, 2))),
+    "no-frame": _entry(lambda entry, rng: entry.pop("frame")),
 }
 _PNM_EDITS = ("truncate", "truncate", "append", "pnm-magic", "width", "height", "maxval")
 _FPLT_EDITS = ("truncate", "truncate", "append", "fplt-magic", "version", "channels", "non-finite", "non-finite")
@@ -1837,6 +1895,9 @@ _COMMAND_INPUTS = {
     "roi-crop": {"image": "ppm", "boxes": "text"},
     "roi-paste": {"canvas": "pgm", "patch": "pgm", "boxes": "text"},
 }
+# edits of the JSON and JSONL inputs that keep them valid UTF-8
+_JSON_EDITS = ("deep-nesting", "long-int")
+_JSONL_EDITS = _JSON_EDITS + ("array", "box-3", "float-coord", "bool-coord", "no-frame", "huge-coord")
 _MUTATION_CASES = (
     [("pipeline", target, m) for target in ("image", "gt") for m in _PNM_EDITS]
     + [("pipeline", "member", m) for m in _FPLT_EDITS]
@@ -1848,6 +1909,10 @@ _MUTATION_CASES = (
         for target, kind in inputs.items()
         for m in _EDITS_OF[kind]
     ]
+    + [("pipeline", "config", m) for m in _JSON_EDITS + ("array",)]
+    + [("pipeline", "boxes", m) for m in _JSONL_EDITS]
+    + [("augment", "swaps", m) for m in _JSON_EDITS]
+    + [(command, "boxes", m) for command in ("roi-crop", "roi-paste") for m in _JSONL_EDITS]
 )
 
 
@@ -1984,6 +2049,8 @@ _PROCESS_CASES = [
         ("ensemble", "member", "append"),
         ("roi-crop", "boxes", "non-utf8"),
         ("roi-paste", "patch", "header-flip"),
+        ("pipeline", "boxes", "deep-nesting"),
+        ("augment", "swaps", "long-int"),
     )
 ]
 
@@ -2003,3 +2070,133 @@ def test_malformed_input_is_exit_2_with_no_output_in_a_process(tmp_path, index):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
     assert _tree(tmp_path) == before
     assert existing.read_bytes() == earlier
+
+
+# cases that change an argument rather than an input's bytes: eval's prediction
+# directory, an output target that is a directory or lies in a directory that does
+# not exist, and an expand ratio whose margin is beyond float range
+_ARGUMENT_CASES = (
+    [("eval", edit) for edit in ("pred-missing", "pred-file", "pred-no-pgm", "pred-no-gt")]
+    + [
+        (command, edit)
+        for command in ("edges", "loss", "ensemble", "roi-crop", "roi-paste", "eval")
+        for edit in ("out-dir", "out-missing-dir")
+    ]
+    + [("pipeline", "expand-flag"), ("pipeline", "expand-config"), ("roi-crop", "expand-flag")]
+)
+
+
+def _argument_case(tmp_path, command: str, edit: str) -> list:
+    """Valid inputs of ``command`` and its runs with the argument ``edit`` names changed."""
+    if command in ("pipeline", "eval"):
+        paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+        pred = tmp_path / "pred"
+        shutil.copytree(paths["gt"], pred)
+        if command == "pipeline":
+            argv = _pipeline_argv(paths, tmp_path / "out")
+        else:
+            argv = ["eval", "--pred-dir", pred, "--gt-dir", paths["gt"], "--out", tmp_path / "report.json"]
+    else:
+        (argv,), _, _ = _command_case(tmp_path, command, next(iter(_COMMAND_INPUTS[command])))
+    argv = [str(a) for a in argv]
+
+    def set_arg(flag: str, value) -> None:
+        argv[argv.index(flag) + 1] = str(value)
+
+    out_flag = "--grad-out" if command == "loss" else "--out"
+    if edit == "out-dir":
+        (tmp_path / "taken").mkdir()
+        set_arg(out_flag, tmp_path / "taken")
+    elif edit == "out-missing-dir":
+        set_arg(out_flag, tmp_path / "missing" / "o")
+    elif edit == "pred-missing":
+        set_arg("--pred-dir", tmp_path / "missing")
+    elif edit == "pred-file":
+        set_arg("--pred-dir", pred / "000.pgm")
+    elif edit == "pred-no-pgm":
+        for p in pred.iterdir():
+            p.rename(p.with_suffix(".txt"))
+    elif edit == "pred-no-gt":
+        shutil.copy(pred / "000.pgm", pred / "002.pgm")
+    elif edit == "expand-flag":
+        argv += ["--expand", "1e308"]
+    else:  # expand-config
+        (tmp_path / "c.json").write_text('{"expand_ratio": 1e308}\n', encoding="utf-8")
+        argv = ["--config", str(tmp_path / "c.json"), *argv]
+    return [["--jobs", jobs, *argv] for jobs in ("1", "2")] if command == "pipeline" else [argv]
+
+
+@pytest.mark.parametrize("command, edit", _ARGUMENT_CASES, ids=[f"{c}-{e}" for c, e in _ARGUMENT_CASES])
+def test_bad_argument_is_exit_2_with_no_output(capsys, tmp_path, command, edit):
+    runs = _argument_case(tmp_path, command, edit)
+    before = _tree(tmp_path)
+    for argv in runs:
+        errors = []
+        for _ in range(2):  # the same failing command prints the same stderr every time
+            code, stdout, err = run(capsys, *argv)
+            assert code == 2 and stdout == "", (argv, err)
+            assert err.startswith("error: ") and "Traceback" not in err, err
+            assert _tree(tmp_path) == before
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+
+# --- scope of "bit-identical" ---
+
+# settings that move numpy onto other code paths in a child process: another
+# OpenBLAS kernel, which a DYNAMIC_ARCH build honours, and numpy's SIMD paths
+# below AVX-512, which only a CPU that has them can leave
+_CODE_PATHS = {
+    "openblas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "numpy-below-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SKX X86_V4"},
+}
+
+# the OpenBLAS kernel in use (null where none is found) and numpy's CPU features
+_CODE_PATH_PROBE = """
+import ctypes, json, numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+numpy.ones((4, 4)) @ numpy.ones((4, 4))
+core = None
+try:
+    with open("/proc/self/maps") as f:
+        libs = sorted({w for w in f.read().split() if "openblas" in w.lower()})
+except OSError:
+    libs = []
+for lib in libs:
+    for name in ("openblas_get_corename", "openblas_get_corename64_", "scipy_openblas_get_corename64_"):
+        get = getattr(ctypes.CDLL(lib), name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            core = get().decode()
+print(json.dumps({"core": core, "features": __cpu_features__}))
+"""
+
+
+def _code_path_taken(setting: dict, tmp_path) -> bool:
+    """Whether a child process under ``setting`` runs on another code path than this one."""
+    plain = _python_json(_CODE_PATH_PROBE, cwd=tmp_path)
+    moved = _python_json(_CODE_PATH_PROBE, cwd=tmp_path, env_extra=setting)
+    if "OPENBLAS_CORETYPE" in setting:
+        return (moved["core"] or "").lower() == setting["OPENBLAS_CORETYPE"].lower()
+    names = setting["NPY_DISABLE_CPU_FEATURES"].split()
+    return all(plain["features"].get(n) for n in names) and not any(moved["features"].get(n) for n in names)
+
+
+@pytest.mark.parametrize("setting", _CODE_PATHS.values(), ids=_CODE_PATHS.keys())
+def test_pipeline_label_maps_are_the_same_on_another_blas_kernel_or_simd_path(tmp_path, setting):
+    # the label maps held on these paths when measured; float outputs are not promised
+    # to, and energy traces and fused probabilities were seen to differ
+    if not _code_path_taken(setting, tmp_path):
+        pytest.skip(f"{setting} is not honoured here")
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    script = "import json, sys; from eaparse.cli import main; print(json.dumps(main(json.loads(sys.argv[1]))))"
+    maps = []
+    for name, env_extra in (("plain", None), ("moved", setting)):
+        argv = ["--jobs", "1", *_pipeline_argv(paths, tmp_path / name)]
+        assert _python_json(script, json.dumps(argv), cwd=tmp_path, env_extra=env_extra) == 0
+        maps.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).glob("*.pgm"))})
+    assert sorted(maps[0]) == ["000.pgm", "001.pgm", "002.pgm"]
+    assert maps[0] == maps[1]

@@ -51,6 +51,17 @@ def test_expand_rejects_bad_inputs():
         ea.expand_box(ea.Box(50, 50, 60, 60), 0.2, 10, 10)
     with pytest.raises(InvalidBox, match="frame must be at least 1 x 1"):
         ea.expand_box(ea.Box(0, 0, 2, 2), 0.2, 0, 10)
+    # margins and sides beyond float range
+    for box, ratio in [
+        (ea.Box(0, 0, 5, 5), 1e308),
+        (ea.Box(0, 0, 4, 10**400), 0.2),
+        (ea.Box(-(10**400), 0, 4, 4), 0.0),
+    ]:
+        with pytest.raises(InvalidBox, match="cannot expand the box by"):
+            ea.expand_box(box, ratio, 10, 10)
+    # just inside float range the result is the clamped box, as it always was
+    assert ea.expand_box(ea.Box(0, 0, 1, 1), 1e308, 10, 10) == ea.Box(0, 0, 10, 10)
+    assert ea.expand_box(ea.Box(-(10**300), 2, 10**300, 4), 0.2, 10, 10) == ea.Box(0, 1, 10, 5)
 
 
 def test_crop_labels_and_image():

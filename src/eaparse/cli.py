@@ -4,8 +4,10 @@ Global flags (given before the subcommand): ``--config c.json`` merges a
 JSON document over the built-in defaults, ``--seed S`` overrides the config
 seed, ``--jobs N`` runs pipeline frames in up to N worker processes, and
 ``--print-config`` prints the effective configuration as JSON and exits.
-Workers start by fork, at most one per frame, and the output bytes are the
-same for any N; where fork is unavailable, frames run one by one in this
+This process is one of the workers and runs one share of the frames; the
+others are children started by ``os.fork``, so there is at most one process
+per frame. The output bytes, and the error of a failing run, are the same
+for any N; where ``os.fork`` does not exist, frames run one by one in this
 process. A subcommand flag that shadows a config key has the key's dotted
 path as its dest (``--gamma``: ``grabcut.gamma``); the flags given are merged
 over the config as the config is merged over the defaults, so handlers read
@@ -46,6 +48,7 @@ import dataclasses
 import gc
 import json
 import os
+import pickle
 import sys
 import traceback
 from collections import defaultdict
@@ -57,7 +60,7 @@ from .augment import SwapTable, cut_half, hflip_with_swap, rotate_quarter
 from .boundary import DEFAULT_EDGE_RADIUS, edge_attention_mask, extract_boundary
 from .ensemble import ensemble_argmax, ensemble_probabilities
 from .errors import IoFailure, ToolkitError
-from .grabcut import GrabcutParams, _refine_class_with_trace, refine_class
+from .grabcut import GrabcutParams, _refine_class, refine_class
 from .metrics import evaluate_frames
 from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
 from .segloss import (
@@ -82,7 +85,7 @@ from .tensorio import (
 )
 
 # bench/spans.py rebinds this name to time the wait on a thread pool; the
-# pipeline runs its frames in worker processes and has no thread pool
+# pipeline runs its frames in forked processes and has no thread pool
 ThreadPoolExecutor = None
 
 DEFAULT_CONFIG = {
@@ -182,7 +185,7 @@ def _parse_classes(text: str) -> list[int]:
 
 
 def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
-    """One {"frame": name, "box": [x0,y0,x1,y1]} object per line."""
+    """One {"frame": name, "box": [x0,y0,x1,y1]} object per line; a name is a JSON string."""
     boxes: dict[str, list[Box]] = defaultdict(list)
     # lines end at "\n" alone once _read_text has translated "\r\n" and "\r", as in
     # text mode; str.splitlines would also split inside a name holding "\u2028"
@@ -193,7 +196,7 @@ def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
         entry = _load_json(line, f"{path}:{ln}")
         if (
             not isinstance(entry, dict)
-            or "frame" not in entry
+            or not isinstance(entry.get("frame"), str)
             or "box" not in entry
             or not isinstance(entry["box"], list)
             or len(entry["box"]) != 4
@@ -203,7 +206,7 @@ def _read_boxes_jsonl(path) -> dict[str, list[Box]]:
             box = Box(*entry["box"])
         except ToolkitError as exc:
             raise ToolkitError(f"{path}:{ln}: {exc}") from exc
-        boxes[str(entry["frame"])].append(box)
+        boxes[entry["frame"]].append(box)
     return dict(boxes)
 
 
@@ -287,9 +290,10 @@ def _cmd_grabcut(cfg, args) -> int:
     params = _grabcut_params(cfg, cfg["rng_seed"])
     image = read_rgb_image(args.image)
     labels = read_label_map(args.labels)
-    out, trace = _refine_class_with_trace(labels, image, args.class_id, params)
+    want_trace = args.energy_trace is not None
+    out, trace = _refine_class(labels, image, args.class_id, params, want_trace)
     outputs = [(args.out, _label_map_bytes(out))]
-    if args.energy_trace is not None:
+    if want_trace:
         outputs.append((args.energy_trace, (json.dumps(trace) + "\n").encode("utf-8")))
     _write_files(outputs)
     return 0
@@ -372,7 +376,7 @@ def _frame_seed(base_seed: int, frame_index: int) -> int:
 
 
 def _pipeline_frame(task):
-    """One frame of ``pipeline``, at module level so that a worker process can run it."""
+    """One frame of ``pipeline``: its label map and its ground truth."""
     cfg, args, idx, stem, boxes = task
     try:
         image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
@@ -413,6 +417,85 @@ def _pipeline_frame(task):
         raise type(exc)(f"frame {stem}: {exc}") from exc
 
 
+def _frame_share(tasks) -> tuple[list, ToolkitError | None]:
+    """Run ``tasks`` in order up to the first that fails: the results before
+    it, and its error (None if none failed)."""
+    results = []
+    for task in tasks:
+        try:
+            results.append(_pipeline_frame(task))
+        except ToolkitError as exc:
+            return results, exc
+    return results, None
+
+
+def _fork_worker(tasks) -> tuple[int, int]:
+    """Fork a worker that runs ``_frame_share(tasks)`` and pickles it into a
+    pipe; returns its pid and the pipe's read end. The worker leaves through
+    ``os._exit``: 0 once its share is written, 1 with a traceback on any
+    other failure, having written nothing."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            payload = pickle.dumps(_frame_share(tasks), pickle.HIGHEST_PROTOCOL)
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)  # never return into the parent's code
+    os.close(write_end)
+    return pid, read_end
+
+
+def _worker_share(pid: int, read_end: int) -> tuple[list, ToolkitError | None]:
+    """Read a forked worker's share to the end of its pipe, then reap the worker."""
+    try:
+        with open(read_end, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or not payload:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"pipeline worker {pid} exited with status {code} and no result")
+    return pickle.loads(payload)
+
+
+def _run_frames(tasks, jobs: int) -> list:
+    """Every frame's result, in frame order, from ``jobs`` workers.
+
+    Frame i runs in worker i % jobs. This process is worker 0; the others
+    are forked children, each running its frames in order up to its first
+    failure. The failure of the earliest frame is raised, so the error is
+    the one that ``jobs`` = 1 raises. Every child is reaped on every path.
+    Without ``os.fork``, frames run in turn here.
+    """
+    if jobs == 1 or not hasattr(os, "fork"):
+        return [_pipeline_frame(task) for task in tasks]
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for worker in range(1, jobs):
+            pid, read_end = _fork_worker(tasks[worker::jobs])
+            children[pid] = read_end
+        shares = [_frame_share(tasks[0::jobs])]
+        for pid in list(children):
+            shares.append(_worker_share(pid, children.pop(pid)))
+    finally:  # on failure: a child still writing meets a closed pipe and exits
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    # worker w's j-th frame is frame w + j * jobs, and it stopped at its first failure
+    failed = [(w + len(done) * jobs, error) for w, (done, error) in enumerate(shares) if error is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [shares[i % jobs][0][i // jobs] for i in range(len(tasks))]
+
+
 def _cmd_pipeline(cfg, args) -> int:
     _grabcut_params(cfg, cfg["rng_seed"])  # checks the settings even if no frame refines
     stems = [Path(n).stem for n in _list_frames(args.images, ".ppm")]
@@ -422,21 +505,7 @@ def _cmd_pipeline(cfg, args) -> int:
             raise ToolkitError(f"{args.boxes}: no box for frame {stem!r}")
 
     tasks = [(cfg, args, idx, stem, all_boxes[stem]) for idx, stem in enumerate(stems)]
-    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
-    context = None
-    if jobs > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-    if context is None:
-        results = [_pipeline_frame(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork-context pool starts all its workers at once, hence at most one per frame
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            results = list(pool.map(_pipeline_frame, tasks))
+    results = _run_frames(tasks, min(args.jobs or os.cpu_count() or 1, len(tasks)))
 
     preds = [r[0] for r in results]
     payload = _report_json(cfg, preds, [r[1] for r in results])
@@ -513,8 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
-        help="pipeline worker processes, >= 1, forked, at most one per frame; "
-        "output bytes are the same for any value (default: CPU count)",
+        help="pipeline worker processes, >= 1: this one and forked children, at most "
+        "one per frame; output bytes are the same for any value (default: CPU count)",
     )
     parser.add_argument(
         "--print-config",

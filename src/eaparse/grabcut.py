@@ -13,12 +13,14 @@ energy can rise between rounds.
 
 Everything here is deterministic: mixture fitting is seeded, the solver
 visits arcs in a fixed order, and a rerun with identical inputs produces a
-bit-identical mask. That holds on one machine, numpy build and BLAS kernel,
-for any BLAS thread count. It is not promised across BLAS kernels or numpy
-SIMD paths: the mixture scores go through BLAS products and LAPACK's
-Cholesky factor and inverse, whose bytes change with the kernel, so the
-energy trace does too. No mask has been seen to change that way, but none
-is promised not to.
+bit-identical mask. That holds on one machine and numpy build. Nothing here
+calls BLAS or LAPACK: each covariance is factored and inverted in closed
+form, and pixels are whitened with explicit multiplies and adds, so neither
+masks nor energy traces depend on the BLAS kernel or its thread count. They
+are not promised across numpy SIMD paths: the mixture likelihood goes
+through ``np.exp`` and ``np.log``, whose last bits change with the path, so
+the energy trace does too. No mask has been seen to change that way, but
+none is promised not to.
 """
 
 from __future__ import annotations
@@ -130,6 +132,29 @@ def build_trimap(init, params: GrabcutParams) -> Trimap:
     return Trimap(data=data)
 
 
+def _channels(pixels) -> np.ndarray:
+    """(3, N) float64 rows, one per colour channel, of (..., 3) pixels.
+
+    A view where it can be: pixels that are the transpose of a (3, N) array
+    come back as that array, with no copy.
+    """
+    return np.asarray(pixels, dtype=np.float64).reshape(-1, 3).T
+
+
+def _first_max(rows: np.ndarray) -> np.ndarray:
+    """Index of each column's largest row, the first on ties, as ``argmax(axis=0)``.
+
+    The rows are visited in order, so a row that beats the running best takes
+    a larger index than every row before it.
+    """
+    best = rows[0].copy()
+    index = np.zeros(rows.shape[1], dtype=np.intp)
+    for i in range(1, rows.shape[0]):
+        np.maximum(index, (rows[i] > best) * i, out=index)
+        np.maximum(best, rows[i], out=best)
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class ColorGmm:
     """A K-component full-covariance Gaussian mixture over RGB.
@@ -138,20 +163,20 @@ class ColorGmm:
     members); every covariance is kept positive definite by the fit ridge.
     Construction raises ``InvalidRaster`` unless the shapes agree, every
     value is finite, the weights are >= 0 with a positive sum and every
-    covariance is symmetric positive definite. It factors each covariance
-    once, Sigma = L L^T, and keeps what scoring needs: every component's
-    whitening map inv(L)^T side by side in one (3, 3K) matrix, the whitened
-    means, and each component's log normaliser, with
-    log det Sigma = 2 * sum(log diag L).
+    covariance is symmetric positive definite: every pivot of its Cholesky
+    factor is > 0. It factors each covariance once, Sigma = L L^T, in closed
+    form, and keeps what scoring needs: the whitening map A = inv(L), the
+    whitened means A mu and each component's log normaliser, with
+    log det Sigma = 2 * sum(log diag L). No step calls BLAS or LAPACK, so the
+    scores are the same on every BLAS kernel.
     """
 
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, 3)
     covariances: np.ndarray  # (K, 3, 3)
-    _whiten: np.ndarray = field(init=False, repr=False)  # (3, 3K)
-    _white_means: np.ndarray = field(init=False, repr=False)  # (3K,)
-    _block_sum: np.ndarray = field(init=False, repr=False)  # (3K, K)
-    _log_norm: np.ndarray = field(init=False, repr=False)  # (K,)
+    _whiten: np.ndarray = field(init=False, repr=False)  # (3, 3, K, 1): A[i, j] of every component
+    _white_means: np.ndarray = field(init=False, repr=False)  # (3, K, 1)
+    _log_norm: np.ndarray = field(init=False, repr=False)  # (K, 1)
 
     def __post_init__(self):
         try:
@@ -173,62 +198,107 @@ class ColorGmm:
         scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
         if (np.abs(covs - covs.transpose(0, 2, 1)) > 1e-9 * scale).any():
             raise InvalidRaster("every covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidRaster("every covariance must be positive definite") from exc
-        with np.errstate(over="ignore"):  # reported below
-            whiten = np.linalg.inv(chol).transpose(0, 2, 1)  # x -> x @ whiten[i] for row vectors
-            white_means = np.matmul(means[:, None, :], whiten).reshape(3 * k)
-        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        if not all(np.isfinite(a).all() for a in (whiten, white_means, log_det)):
+        rows = [_cholesky_3x3(c, mu) for c, mu in zip(covs.tolist(), means.tolist())]
+        if None in rows:
+            raise InvalidRaster("every covariance must be positive definite")
+        table = np.array(rows)  # (K, 15): diag L, A = inv(L) row-major, A mu
+        if not np.isfinite(table).all():
             raise InvalidRaster("mixture parameters overflow when whitened")
+        log_det = 2.0 * np.log(table[:, :3]).sum(axis=1)
         for name, value in (
             ("weights", weights),
             ("means", means),
             ("covariances", covs),
-            ("_whiten", whiten.transpose(1, 0, 2).reshape(3, 3 * k)),
-            ("_white_means", white_means),
-            ("_block_sum", np.repeat(-0.5 * np.eye(k), 3, axis=0)),
-            ("_log_norm", -0.5 * (log_det + 3.0 * math.log(2.0 * math.pi))),
+            ("_whiten", table[:, 3:12].T.reshape(3, 3, k, 1)),
+            ("_white_means", table[:, 12:].T[..., None]),
+            ("_log_norm", -0.5 * (log_det + 3.0 * math.log(2.0 * math.pi))[:, None]),
         ):
             object.__setattr__(self, name, value)
 
-    def _component_logpdf(self, pixels: np.ndarray) -> np.ndarray:
+    def _component_logpdf(self, pixels) -> np.ndarray:
         """(N, K) log density of each pixel under each component.
 
-        The Mahalanobis term of component i is ||(x - mu_i) inv(L_i)^T||^2.
-        One (N, 3) x (3, 3K) product whitens every pixel for all K components
-        at once, the whitened means are subtracted in place, and a (3K, K)
-        block product sums each component's three squares times -1/2, to
-        which the component's log normaliser is added.
+        The Mahalanobis term of component i is ||A_i x - A_i mu_i||^2. Each
+        whitened coordinate is built for all K components at once from the
+        pixels' channel rows, by explicit multiplies and adds over the lower
+        triangle of A, into (K, N) rows; the result is the transpose of those
+        rows, so ``.T`` gives them back without a copy.
         """
-        px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
-        white = px @ self._whiten
-        white -= self._white_means
-        np.square(white, out=white)
-        out = white @ self._block_sum
+        x = _channels(pixels)
+        out = np.empty((self.weights.shape[0], x.shape[1]))
+        white, term = np.empty_like(out), np.empty_like(out)
+        for i in range(3):
+            np.multiply(self._whiten[i, 0], x[0], out=white)
+            for j in range(1, i + 1):
+                np.multiply(self._whiten[i, j], x[j], out=term)
+                white += term
+            white -= self._white_means[i]
+            if i == 0:
+                np.square(white, out=out)
+            else:
+                np.square(white, out=white)
+                out += white
+        out *= -0.5
         out += self._log_norm
-        return out
+        return out.T
 
     def _scores(self, pixels) -> np.ndarray:
-        """(N, K) log weight plus log density of each pixel under each component."""
+        """(K, N) log weight plus log density of each pixel under each component."""
         with np.errstate(divide="ignore"):
             logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
-        out = self._component_logpdf(pixels)
-        out += logw
+        out = self._component_logpdf(pixels).T
+        out += logw[:, None]
         return out
 
     def log_likelihood(self, pixels) -> np.ndarray:
-        """(N,) log of the weighted mixture density at each pixel."""
+        """(N,) log of the weighted mixture density at each pixel.
+
+        Max, exp, sum and log run across the K score rows, each over all N
+        pixels at once.
+        """
         scored = self._scores(pixels)
-        top = scored.max(axis=1)
-        scored -= top[:, None]
+        top = scored.max(axis=0)
+        scored -= top
         np.exp(scored, out=scored)
-        total = scored.sum(axis=1)
+        total = scored.sum(axis=0)
         np.log(total, out=total)
         total += top
         return total
+
+
+def _cholesky_3x3(cov: list, mean: list) -> list | None:
+    """diag(L), the rows of A = inv(L) and A mu, 15 floats, for the lower
+    Cholesky factor L of one 3x3 covariance (nested lists, lower triangle
+    read), Sigma = L L^T, and the component's mean.
+
+    Closed-form formulas entry by entry; A by forward substitution. None
+    unless every pivot is > 0. Python floats round like numpy's, one
+    operation at a time, and a result beyond float range becomes inf.
+    """
+    (c00, _, _), (c10, c11, _), (c20, c21, c22) = cov
+    if not c00 > 0:
+        return None
+    l00 = math.sqrt(c00)
+    l10, l20 = c10 / l00, c20 / l00
+    pivot = c11 - l10 * l10
+    if not pivot > 0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (c21 - l20 * l10) / l11
+    pivot = c22 - l20 * l20 - l21 * l21
+    if not pivot > 0:
+        return None
+    l22 = math.sqrt(pivot)
+    a00, a11, a22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    a10 = -l10 * a00 / l11
+    a21 = -l21 * a11 / l22
+    a20 = -(l20 * a00 + l21 * a10) / l22
+    m0, m1, m2 = mean
+    return [
+        l00, l11, l22,
+        a00, 0.0, 0.0, a10, a11, 0.0, a20, a21, a22,
+        a00 * m0, a10 * m0 + a11 * m1, a20 * m0 + a21 * m1 + a22 * m2,
+    ]  # fmt: skip
 
 
 # upper-triangle entries of a 3x3 matrix, and the symmetric matrix rebuilt from them
@@ -239,24 +309,34 @@ _FROM_TRI = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 def _estimate(px: np.ndarray, assign: np.ndarray, k: int, prev_means: np.ndarray) -> ColorGmm:
     """ML re-estimation from a hard assignment, all components in one pass.
 
+    ``px`` is (N, 3) in any memory layout; the work runs on its channel rows.
     A stable sort by component lays each component's members out as one
-    segment in pixel order; segment sums give the means, and, once each
-    member has its mean subtracted, the centred second moments. Empty
-    components keep weight 0, their previous mean and a ridge-only covariance.
+    segment of every row, in pixel order; segment sums give the means, and,
+    once each member has its mean subtracted, the centred second moments.
+    Empty components keep weight 0, their previous mean and a ridge-only
+    covariance.
     """
-    n = px.shape[0]
+    x = _channels(px)
+    n = x.shape[1]
     counts = np.bincount(assign, minlength=k)
     full = counts > 0
     starts = (np.cumsum(counts) - counts)[full]
-    members = np.take(px, np.argsort(assign, kind="stable"), axis=0)
+    members = np.take(x, np.argsort(assign, kind="stable"), axis=1)
     means = prev_means.copy()
-    means[full] = np.add.reduceat(members, starts, axis=0) / counts[full, None]
-    members -= np.repeat(means, counts, axis=0)
-    products = members[:, _TRI_ROW] * members[:, _TRI_COL]  # (n, 6)
+    means[full] = (np.add.reduceat(members, starts, axis=1) / counts[full]).T
+    members -= np.repeat(means.T, counts, axis=1)
+    products = np.empty((6, n))
+    for row, (a, b) in enumerate(zip(_TRI_ROW, _TRI_COL)):
+        np.multiply(members[a], members[b], out=products[row])
     moments = np.zeros((k, 6))
-    moments[full] = np.add.reduceat(products, starts, axis=0) / counts[full, None]
+    moments[full] = (np.add.reduceat(products, starts, axis=1) / counts[full]).T
     covs = moments[:, _FROM_TRI].reshape(k, 3, 3) + COV_RIDGE * np.eye(3)
     return ColorGmm(weights=counts / n, means=means, covariances=covs)
+
+
+def _square_distance(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """(N,) squared distance of channel rows ``x`` to one centre, channels summed in order."""
+    return (x[0] - centre[0]) ** 2 + (x[1] - centre[1]) ** 2 + (x[2] - centre[2]) ** 2
 
 
 def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
@@ -266,20 +346,21 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
     form, assigns every pixel to its highest-scoring component and then
     re-estimates weights, means and ridge-regularized covariances from the
     members, for ``_GMM_ROUNDS`` rounds or until the assignment repeats (its
-    refit would rebuild the same model bit for bit). Fully deterministic for
-    a fixed seed.
+    refit would rebuild the same model bit for bit). The pixels are held as
+    channel rows and the scores as component rows throughout. Fully
+    deterministic for a fixed seed.
     """
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
-    n = px.shape[0]
+    x = np.ascontiguousarray(_channels(pixels))
+    n = x.shape[1]
     if k < 1:
         raise InvalidRaster(f"a mixture needs at least one component, got {k}")
     if n < k:
         raise TooFewPixels(f"{n} pixels cannot support {k} mixture components")
 
     rng = np.random.default_rng(rng_seed)
-    centers = [px[int(rng.integers(n))]]
+    centers = [x[:, int(rng.integers(n))]]
     dist = np.empty((k, n))  # squared distance of every pixel to each centre
-    dist[0] = ((px - centers[0]) ** 2).sum(axis=1)
+    dist[0] = _square_distance(x, centers[0])
     d2 = dist[0].copy()  # to the nearest centre so far
     for i in range(1, k):
         total = d2.sum()
@@ -287,18 +368,18 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
-        centers.append(px[idx])
-        dist[i] = ((px - centers[i]) ** 2).sum(axis=1)
+        centers.append(x[:, idx])
+        dist[i] = _square_distance(x, centers[i])
         np.minimum(d2, dist[i], out=d2)
 
-    assign = dist.argmin(axis=0)
-    gmm = _estimate(px, assign, k, prev_means=np.array(centers))
+    assign = _first_max(np.negative(dist))
+    gmm = _estimate(x.T, assign, k, prev_means=np.array(centers))
     for _ in range(_GMM_ROUNDS):
-        new_assign = gmm._scores(px).argmax(axis=1)
+        new_assign = _first_max(gmm._scores(x.T))
         if (new_assign == assign).all():
             break
         assign = new_assign
-        gmm = _estimate(px, assign, k, prev_means=gmm.means)
+        gmm = _estimate(x.T, assign, k, prev_means=gmm.means)
     return gmm
 
 
@@ -420,21 +501,6 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
             ptr[u] += 1
 
 
-def _neighbour_table(n: int, edges: np.ndarray, edge_cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded adjacency of n nodes: row i holds i's neighbours (n where there
-    is none) and the capacities of the edges to them, in the order of ``edges``."""
-    edges = edges.astype(np.int64)
-    tail = np.concatenate([edges[:, 0], edges[:, 1]])
-    order = np.argsort(tail, kind="stable")
-    deg = np.bincount(tail, minlength=n)
-    slot = np.arange(order.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    nbr = np.full((n, int(deg.max(initial=0))), n)
-    ncap = np.zeros(nbr.shape)
-    nbr[tail[order], slot] = np.concatenate([edges[:, 1], edges[:, 0]])[order]
-    ncap[tail[order], slot] = np.concatenate([edge_cap, edge_cap])[order]
-    return nbr, ncap
-
-
 def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
     """``max_flow``'s cut side of every node, solving only the nodes left undecided.
 
@@ -453,12 +519,15 @@ def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray], state: 
     edges between them; in exact arithmetic the sides equal its sides on the
     whole graph.
 
-    ``table`` is the graph's ``_neighbour_table``, built once by callers that
-    cut graphs of one topology many times. ``state`` gives each node's
-    starting state: ``_FREE``, ``_SOURCE`` or ``_SINK``. A node that starts
-    fixed keeps its side, its own terminal capacities go unread, and its
-    edges count toward the terminal of its side; fixing starts from the
-    nodes that start free.
+    ``table`` (nbr, ncap) is the graph's padded adjacency, built once by
+    callers that cut graphs of one topology many times: row i holds i's
+    neighbours (n in a slot with none) and the capacities of the edges to
+    them. Its present neighbours come in the order of ``edges``, first the
+    edges with i as first end, then those with i as second end; each node's
+    sums run in that order. ``state`` gives each node's starting state:
+    ``_FREE``, ``_SOURCE`` or ``_SINK``. A node that starts fixed keeps its
+    side, its own terminal capacities go unread, and its edges count toward
+    the terminal of its side; fixing starts from the nodes that start free.
     """
     n = graph.source_cap.shape[0]
     edges = graph.edges.astype(np.int64)
@@ -505,6 +574,14 @@ def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray], state: 
 # --- the refinement loop ---
 
 
+def _direction_pairs(h: int, w: int, dr: int, dc: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """Slices of an h x w grid holding the first and the second pixel of every
+    pair one step (dr, dc) apart, in the same row-major order."""
+    first = np.s_[: h - dr, max(0, -dc) : w - max(0, dc)]
+    second = np.s_[dr:, max(0, dc) : w - max(0, -dc)]
+    return first, second
+
+
 def _window_edges(z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Every 8-neighbour pair of a window and its contrast-sensitive smoothness weight.
 
@@ -519,15 +596,37 @@ def _window_edges(z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     index = np.arange(h * w).reshape(h, w)
     pairs, diffs = [], []
     for dr, dc, _ in _DIRECTIONS:
-        first = np.s_[: h - dr, max(0, -dc) : w - max(0, dc)]  # the first pixel of each pair
-        p = index[first].ravel()
-        pairs.append(np.stack([p, p + dr * w + dc], axis=1))
-        diffs.append(((z[first] - z[dr:, max(0, dc) : w - max(0, -dc)]) ** 2).sum(axis=2).ravel())
+        first, second = _direction_pairs(h, w, dr, dc)
+        pairs.append(np.stack([index[first].ravel(), index[second].ravel()], axis=1))
+        diffs.append(((z[first] - z[second]) ** 2).sum(axis=2).ravel())
     count = sum(d.size for d in diffs)
     mean_sq = sum(float(d.sum()) for d in diffs) / count if count else 0.0
     beta = 0.0 if mean_sq == 0.0 else 1.0 / (2.0 * mean_sq)
     weights = [gamma * np.exp(-beta * d) / dist for (_, _, dist), d in zip(_DIRECTIONS, diffs)]
     return np.concatenate(pairs), np.concatenate(weights)
+
+
+def _grid_table(shape: tuple[int, int], edge_cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_reduced_cut``'s padded adjacency of a window's 8-neighbour graph, from its grid.
+
+    Row p has 8 slots: p's neighbour to the right, below, below-right and
+    below-left, then the pixel that has p as that neighbour, in the same
+    direction order (left, above, above-left, above-right); a slot off the
+    window holds h * w and capacity 0. ``edge_cap`` is in ``_window_edges``'s
+    order, so each row's present neighbours come in the order of its edges.
+    """
+    h, w = shape
+    index = np.arange(h * w).reshape(h, w)
+    nbr = np.full((h, w, 8), h * w)
+    ncap = np.zeros((h, w, 8))
+    start = 0
+    for d, (dr, dc, _) in enumerate(_DIRECTIONS):
+        first, second = _direction_pairs(h, w, dr, dc)
+        caps = edge_cap[start : start + index[first].size].reshape(index[first].shape)
+        start += caps.size
+        nbr[first + (d,)], ncap[first + (d,)] = index[second], caps
+        nbr[second + (4 + d,)], ncap[second + (4 + d,)] = index[first], caps
+    return nbr.reshape(h * w, 8), ncap.reshape(h * w, 8)
 
 
 def _labeling_energy(alpha, data_fg, data_bg, edges, edge_cap) -> float:
@@ -544,11 +643,12 @@ def _window_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray):
     ``edges`` (from ``_window_edges``) is its edge list. The definite pixels
     start fixed to their side in ``_reduced_cut``, so an edge between two of
     them is never read and an edge from one to an ambiguous pixel counts
-    toward the terminal of its side. The neighbour table and the starting
-    states are built once; the returned function maps the data terms (flat
-    over the window) to the window's foreground after the cut.
+    toward the terminal of its side; their own data terms are never read
+    either. The neighbour table and the starting states are built once; the
+    returned function maps the data terms (flat over the window) to the
+    window's foreground after the cut.
     """
-    table = _neighbour_table(trimap.data.size, edges, edge_cap)
+    table = _grid_table(trimap.data.shape, edge_cap)
     state = np.select([trimap.definite_fg(), trimap.definite_bg()], [_SOURCE, _SINK], _FREE).reshape(-1)
 
     def cut(data_fg: np.ndarray, data_bg: np.ndarray) -> np.ndarray:
@@ -607,6 +707,16 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     the same energy, as on a frame of one colour, rounding may pick another
     of them.
     """
+    return _grabcut(image, init, params, record_trace=True)
+
+
+def _grabcut(image, init, params: GrabcutParams | None, record_trace: bool):
+    """``grabcut_refine``, with its energy trace or, without ``record_trace``, None.
+
+    The cut reads the data terms of the ambiguous pixels only, so without a
+    trace only they are scored and no energy is computed; the mask is the
+    same either way, since each pixel's score depends on that pixel alone.
+    """
     if params is None:
         params = GrabcutParams()
     img = ensure_rgb_image(image)
@@ -625,20 +735,25 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     # only on the current partition, never on iteration count
     fg_seed, bg_seed = (int(v) for v in np.random.SeedSequence(params.rng_seed).generate_state(2, dtype=np.uint64))
 
+    pixels = np.ascontiguousarray(z.reshape(-1, 3).T)  # one row per colour channel
+    scored = slice(None) if record_trace else trimap.probable().reshape(-1)
+    scored_px = pixels[:, scored].T
+    data_fg, data_bg = np.zeros(crop.size), np.zeros(crop.size)
     alpha = crop.astype(bool)
     bg_gmm = None
-    flat = z.reshape(-1, 3)
     trace: list[float] = []
     for _ in range(params.iterations):
-        fg_px = z[alpha]  # never empty: alpha holds the trimap's definite foreground
-        bg_px = z[~alpha]
-        fg_gmm = fit_gmm(fg_px, min(params.components_k, fg_px.shape[0]), fg_seed)
-        if bg_px.shape[0]:  # a cut can take every pixel; the model of the round before stays
-            bg_gmm = fit_gmm(bg_px, min(params.components_k, bg_px.shape[0]), bg_seed)
-        data_fg = np.minimum(-fg_gmm.log_likelihood(flat), MAX_DATA_TERM)
-        data_bg = np.minimum(-bg_gmm.log_likelihood(flat), MAX_DATA_TERM)
+        side = alpha.reshape(-1)
+        fg_px = pixels[:, side].T  # never empty: alpha holds the trimap's definite foreground
+        bg_px = pixels[:, ~side].T
+        fg_gmm = fit_gmm(fg_px, min(params.components_k, len(fg_px)), fg_seed)
+        if len(bg_px):  # a cut can take every pixel; the model of the round before stays
+            bg_gmm = fit_gmm(bg_px, min(params.components_k, len(bg_px)), bg_seed)
+        data_fg[scored] = np.minimum(-fg_gmm.log_likelihood(scored_px), MAX_DATA_TERM)
+        data_bg[scored] = np.minimum(-bg_gmm.log_likelihood(scored_px), MAX_DATA_TERM)
         cut = window_cut(data_fg, data_bg)
-        trace.append(_labeling_energy(cut, data_fg, data_bg, edges, edge_cap))
+        if record_trace:
+            trace.append(_labeling_energy(cut, data_fg, data_bg, edges, edge_cap))
         if (cut == alpha).all():
             break  # fixed point: every later round would get this input and repeat this one
         alpha = cut
@@ -646,15 +761,15 @@ def grabcut_refine(image, init, params: GrabcutParams | None = None):
     trace += trace[-1:] * (params.iterations - len(trace))
     refined = np.zeros(mask.shape, dtype=np.uint8)
     refined[window] = alpha
-    return refined, trace
+    return refined, trace if record_trace else None
 
 
-def _refine_class_with_trace(labels, image, class_id: int, params: GrabcutParams | None):
-    """``refine_class`` plus the energy trace of its ``grabcut_refine`` call."""
+def _refine_class(labels, image, class_id: int, params: GrabcutParams | None, record_trace: bool):
+    """``refine_class`` plus, with ``record_trace``, the energy trace of its refinement."""
     lm = ensure_label_map(labels)
     if not (lm == class_id).any():
         raise ClassAbsent(f"class {class_id} not present in label map")
-    refined, trace = grabcut_refine(image, (lm == class_id).astype(np.uint8), params)
+    refined, trace = _grabcut(image, (lm == class_id).astype(np.uint8), params, record_trace)
     out = lm.copy()
     out[(lm == class_id) & (refined == 0)] = 0
     out[refined == 1] = class_id
@@ -666,6 +781,7 @@ def refine_class(labels, image, class_id: int, params: GrabcutParams | None = No
 
     Pixels the refinement adds take ``class_id``; pixels it removes fall
     back to background (0). Other classes keep their labels unless the
-    refined mask claims their pixels.
+    refined mask claims their pixels. The mask is ``grabcut_refine``'s, found
+    without its energy trace.
     """
-    return _refine_class_with_trace(labels, image, class_id, params)[0]
+    return _refine_class(labels, image, class_id, params, record_trace=False)[0]

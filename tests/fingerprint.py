@@ -13,8 +13,9 @@ The first two forms import ``eaparse`` from ``--src`` (by default the
   ``--jobs 1`` and at ``--jobs 2``;
 * ``fit_gmm/<i>``: the weights, means and covariances of seeded random
   mixture fits;
-* ``grabcut_refine/<i>``: the refined mask of a seeded random scene and
-  the float64 bytes of its energy trace;
+* ``grabcut_mask/<i>`` and ``grabcut_trace/<i>``: the refined mask of a
+  seeded random scene, and the float64 bytes of its energy trace, as two
+  entries, so that a change to the traces alone shows as one;
 * ``resize_bilinear/<i>``: seeded random tensors resized up, down, up one
   way and down the other, to or from 1-pixel sides, or to their own size;
 * ``ensemble_probabilities/<i>``: the fused probabilities of one to four
@@ -143,7 +144,8 @@ def grabcut_prints(ea) -> dict[str, str]:
             rng_seed=int(rng.integers(2**31)),
         )
         mask, trace = ea.grabcut_refine(image, init, params)
-        out[f"grabcut_refine/{i:03d}"] = _digest_arrays(mask, np.array(trace, dtype=np.float64))
+        out[f"grabcut_mask/{i:03d}"] = _digest_arrays(mask)
+        out[f"grabcut_trace/{i:03d}"] = _digest_arrays(np.array(trace, dtype=np.float64))
     return out
 
 

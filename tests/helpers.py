@@ -337,6 +337,22 @@ def oracle_max_flow(graph: ea.GridGraph):
     return flow, side
 
 
+def neighbour_table(n: int, edges: np.ndarray, edge_cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_reduced_cut``'s padded adjacency of any graph of n nodes: row i holds
+    i's neighbours (n where there is none) and the capacities of the edges to
+    them, in the order of ``edges``."""
+    edges = edges.astype(np.int64)
+    tail = np.concatenate([edges[:, 0], edges[:, 1]])
+    order = np.argsort(tail, kind="stable")
+    deg = np.bincount(tail, minlength=n)
+    slot = np.arange(order.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr = np.full((n, int(deg.max(initial=0))), n)
+    ncap = np.zeros(nbr.shape)
+    nbr[tail[order], slot] = np.concatenate([edges[:, 1], edges[:, 0]])[order]
+    ncap[tail[order], slot] = np.concatenate([edge_cap, edge_cap])[order]
+    return nbr, ncap
+
+
 # --- GrabCut graph oracles ---
 
 # 8-connectivity, one representative per undirected neighbor pair

@@ -972,6 +972,28 @@ def test_roi_crop_from_jsonl(capsys, tmp_path):
     assert code == 2 and "no box for frame" in err
 
 
+# frame names that are not JSON strings, and the --frame that once matched each
+NON_STRING_FRAMES = {
+    "null": ("null", "None"),
+    "number": ("7", "7"),
+    "list": ('["f0"]', "['f0']"),
+    "object": ('{"a": 1}', "{'a': 1}"),
+}
+
+
+@pytest.mark.parametrize("name, frame", NON_STRING_FRAMES.values(), ids=NON_STRING_FRAMES.keys())
+def test_roi_crop_rejects_a_frame_name_that_is_not_a_string(capsys, tmp_path, name, frame):
+    ea.write_label_map(np.zeros((8, 8), dtype=np.uint8), tmp_path / "l.pgm")
+    jl = tmp_path / "boxes.jsonl"
+    jl.write_text('{"frame": "f0", "box": [0, 0, 4, 4]}\n{"frame": %s, "box": [0, 0, 4, 4]}\n' % name)
+    out = tmp_path / "c.pgm"
+    argv = ["roi", "crop", "--labels", str(tmp_path / "l.pgm"), "--boxes-jsonl", str(jl), "--frame", frame]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f'error: {jl}:2: expected {{"frame": name, "box": [x0,y0,x1,y1]}}\n'
+    assert not out.exists()
+
+
 # JSON box coordinates that are not plain integers
 BAD_BOXES = {
     "string": '["x", 0, 4, 4]',
@@ -1355,54 +1377,79 @@ def test_pipeline_nan_in_a_low_resolution_member_is_exit_2_for_any_jobs(capsys, 
     assert errors[0] == errors[1]
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records how it was built, maps in-process."""
-
-    built: list = []
-
-    def __init__(self, max_workers, mp_context):
-        self.built.append((max_workers, mp_context.get_start_method()))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def test_pipeline_pool_has_at_most_one_worker_per_frame(capsys, tmp_path, monkeypatch):
-    import concurrent.futures
-
     paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
     code, _, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, tmp_path / "serial"))
     assert code == 0, err
-    monkeypatch.setattr(_InlinePool, "built", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)  # counted in this process only; a child's copy of the list is its own
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
     code, _, err = run(capsys, "--jobs", "64", *_pipeline_argv(paths, tmp_path / "pooled"))
     assert code == 0, err
-    assert _InlinePool.built == [(3, "fork")]
+    assert len(forks) == 2  # this process runs one share of the frames itself
     for name in ("000.pgm", "001.pgm", "002.pgm", "report.json"):
         assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_pipeline_runs_frames_in_turn_without_fork(capsys, tmp_path, monkeypatch):
-    import concurrent.futures
-    import multiprocessing
-
     paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
     code, _, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, tmp_path / "serial"))
     assert code == 0, err
-    monkeypatch.setattr(_InlinePool, "built", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     code, _, err = run(capsys, "--jobs", "2", *_pipeline_argv(paths, tmp_path / "plain"))
     assert code == 0, err
-    assert _InlinePool.built == []
     for name in ("000.pgm", "001.pgm", "report.json"):
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+@pytest.mark.parametrize("broken, reported", [(("001", "002"), "001"), (("000", "003"), "000")])
+def test_pipeline_reports_the_earliest_failing_frame_of_any_worker(capsys, tmp_path, broken, reported):
+    # at --jobs 2 this process runs frames 000 and 002 and one child runs 001 and 003
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=4)
+    for stem in broken:
+        member = paths["degraded"] / f"{stem}__0.fplt"
+        member.write_bytes(member.read_bytes()[:-5])
+    errors = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        code, out, err = run(capsys, "--jobs", jobs, *_pipeline_argv(paths, out_dir))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: frame {reported}: ") and "Traceback" not in err
+        assert not out_dir.exists()
+        assert _no_child_left()
+        errors.append(err.replace(str(out_dir), "OUT"))
+    assert errors[0] == errors[1]
+
+
+def test_pipeline_worker_that_dies_without_a_result_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    parent = os.getpid()
+    frame = cli._pipeline_frame
+
+    def dying(task):
+        if os.getpid() != parent:
+            os._exit(3)
+        return frame(task)
+
+    monkeypatch.setattr(cli, "_pipeline_frame", dying)
+    code, out, err = run(capsys, "--jobs", "2", *_pipeline_argv(paths, tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert "pipeline worker" in err and "status 3" in err
+    assert not (tmp_path / "out").exists()
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -1459,6 +1506,19 @@ def test_pipeline_runtime_does_not_import_scipy_or_numba(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
     assert (tmp_path / "out" / "000.pgm").exists()
+
+
+def test_pipeline_workers_load_no_process_pool_modules(tmp_path):
+    # the workers are forked children of the main process, with no pool around them
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    argv = ["--jobs", "2", *_pipeline_argv(paths, tmp_path / "out"), "--refine-classes", "1"]
+    script = (
+        "import json, sys; from eaparse.cli import main; code = main(json.loads(sys.argv[1])); "
+        "print(json.dumps([code, sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing'))]))"
+    )
+    assert _python_json(script, json.dumps(argv), cwd=tmp_path) == [0, []]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["000.pgm", "001.pgm", "report.json"]
 
 
 def test_pipeline_missing_box_is_exit_2(capsys, tmp_path):
@@ -1875,6 +1935,10 @@ _MUTATIONS = {
     "float-coord": _coordinate(lambda v, rng: float(v)),
     "bool-coord": _coordinate(lambda v, rng: bool(rng.integers(0, 2))),
     "no-frame": _entry(lambda entry, rng: entry.pop("frame")),
+    "frame-null": _entry(lambda entry, rng: entry.update(frame=None)),
+    "frame-number": _entry(lambda entry, rng: entry.update(frame=7)),
+    "frame-list": _entry(lambda entry, rng: entry.update(frame=[entry["frame"]])),
+    "frame-object": _entry(lambda entry, rng: entry.update(frame={"name": entry["frame"]})),
 }
 _PNM_EDITS = ("truncate", "truncate", "append", "pnm-magic", "width", "height", "maxval")
 _FPLT_EDITS = ("truncate", "truncate", "append", "fplt-magic", "version", "channels", "non-finite", "non-finite")
@@ -1898,6 +1962,8 @@ _COMMAND_INPUTS = {
 # edits of the JSON and JSONL inputs that keep them valid UTF-8
 _JSON_EDITS = ("deep-nesting", "long-int")
 _JSONL_EDITS = _JSON_EDITS + ("array", "box-3", "float-coord", "bool-coord", "no-frame", "huge-coord")
+# frame names that are not JSON strings
+_FRAME_NAME_EDITS = ("frame-null", "frame-number", "frame-list", "frame-object")
 _MUTATION_CASES = (
     [("pipeline", target, m) for target in ("image", "gt") for m in _PNM_EDITS]
     + [("pipeline", "member", m) for m in _FPLT_EDITS]
@@ -1913,6 +1979,8 @@ _MUTATION_CASES = (
     + [("pipeline", "boxes", m) for m in _JSONL_EDITS]
     + [("augment", "swaps", m) for m in _JSON_EDITS]
     + [(command, "boxes", m) for command in ("roi-crop", "roi-paste") for m in _JSONL_EDITS]
+    # appended last, so that the earlier cases keep their indices
+    + [(command, "boxes", m) for command in ("pipeline", "roi-crop", "roi-paste") for m in _FRAME_NAME_EDITS]
 )
 
 
@@ -2200,3 +2268,25 @@ def test_pipeline_label_maps_are_the_same_on_another_blas_kernel_or_simd_path(tm
         maps.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).glob("*.pgm"))})
     assert sorted(maps[0]) == ["000.pgm", "001.pgm", "002.pgm"]
     assert maps[0] == maps[1]
+
+
+def test_grabcut_energy_trace_is_the_same_on_another_blas_kernel(tmp_path):
+    # the mixture scores call no BLAS or LAPACK routine, so the kernel moves no
+    # byte of the mask or of the trace; the old scores moved trace bytes here
+    setting = _CODE_PATHS["openblas-sandybridge"]
+    if not _code_path_taken(setting, tmp_path):
+        pytest.skip(f"{setting} is not honoured here")
+    scenes = [helpers.disk_scene(noise_seed=seed)[::2] for seed in range(4)]
+    scenes += [helpers.ramp_scene(seed) for seed in range(4)]
+    script = "import json, sys; from eaparse.cli import main; print(json.dumps(main(json.loads(sys.argv[1]))))"
+    outputs = {}
+    for name, env_extra in (("plain", None), ("moved", setting)):
+        for i, (image, init) in enumerate(scenes):
+            ea.write_rgb_image(image, tmp_path / f"{i}.ppm")
+            ea.write_label_map(init, tmp_path / f"{i}.pgm")
+            argv = ["--seed", str(i), "grabcut", "--image", f"{i}.ppm", "--labels", f"{i}.pgm", "--class", "1"]
+            argv += ["--gamma", "1", "--out", f"{name}{i}.pgm", "--energy-trace", f"{name}{i}.json"]
+            assert _python_json(script, json.dumps(argv), cwd=tmp_path, env_extra=env_extra) == 0
+        files = [f"{name}{i}.{ext}" for i in range(len(scenes)) for ext in ("pgm", "json")]
+        outputs[name] = [(tmp_path / f).read_bytes() for f in files]
+    assert outputs["plain"] == outputs["moved"]

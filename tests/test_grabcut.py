@@ -279,21 +279,23 @@ def test_color_gmm_rejects_bad_parameters(fields):
 
 
 def test_color_gmm_factors_once_at_construction(monkeypatch):
-    calls = {"cholesky": 0, "inv": 0}
-    for name in calls:
-        real = getattr(np.linalg, name)
+    # each component's factor and its inverse are written out, so LAPACK is never called
+    calls = {"cholesky": 0, "inv": 0, "_cholesky_3x3": 0}
+    for owner, name in ((np.linalg, "cholesky"), (np.linalg, "inv"), (grabcut, "_cholesky_3x3")):
+        real = getattr(owner, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     gmm = ColorGmm(**_GOOD)
-    assert calls == {"cholesky": 1, "inv": 1}
+    once = {"cholesky": 0, "inv": 0, "_cholesky_3x3": len(_GOOD["weights"])}
+    assert calls == once
     px = np.random.default_rng(0).uniform(-3, 3, (20, 3))
     gmm.log_likelihood(px)
     gmm._scores(px)
-    assert calls == {"cholesky": 1, "inv": 1}
+    assert calls == once
 
 
 def test_gmm_too_few_pixels():
@@ -428,7 +430,7 @@ def _reduction_grids():
 
 def _reduced_cut_all_free(g: GridGraph) -> np.ndarray:
     n = len(g.source_cap)
-    return grabcut._reduced_cut(g, grabcut._neighbour_table(n, g.edges, g.edge_cap), np.full(n, grabcut._FREE))
+    return grabcut._reduced_cut(g, helpers.neighbour_table(n, g.edges, g.edge_cap), np.full(n, grabcut._FREE))
 
 
 def test_reduced_cut_matches_max_flow_on_the_whole_graph(monkeypatch):
@@ -510,6 +512,21 @@ def test_window_cut_equals_max_flow_on_the_folded_graph():
         cases += 1
         searched += int(trimap.probable().any())
     assert cases == 56 and searched >= 40
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 4), (6, 1), (9, 9), (1, 1), (2, 2)])
+def test_grid_table_lists_the_edge_list_neighbours_in_its_order(shape):
+    z = np.random.default_rng(sum(shape)).integers(0, 256, shape + (3,)).astype(np.float64)
+    edges, edge_cap = grabcut._window_edges(z, 10.0)
+    nbr, ncap = grabcut._grid_table(shape, edge_cap)
+    n = z.shape[0] * z.shape[1]
+    assert nbr.shape == ncap.shape == (n, 8)
+    want_nbr, want_cap = helpers.neighbour_table(n, edges, edge_cap)
+    for row in range(n):
+        present = nbr[row] < n
+        assert nbr[row][present].tolist() == want_nbr[row][want_nbr[row] < n].tolist()
+        assert ncap[row][present].tobytes() == want_cap[row][want_nbr[row] < n].tobytes()
+        assert (ncap[row][~present] == 0).all()
 
 
 def test_window_cut_on_one_colour_windows_has_the_folded_cut_energy():
@@ -851,6 +868,43 @@ def test_refine_class_relabels_only_its_class():
     assert out[0, 0] == 9
     assert ea.region_jaccard((out == 4).astype(np.uint8), truth, 1) >= 0.99
     assert set(np.unique(out)) <= {0, 4, 9}
+
+
+def test_refine_class_scores_only_the_ambiguous_pixels_and_no_energy(monkeypatch):
+    log_likelihood = grabcut.ColorGmm.log_likelihood
+    scored, energies = [], []
+
+    def counting(self, pixels):
+        scored.append(len(pixels))
+        return log_likelihood(self, pixels)
+
+    monkeypatch.setattr(grabcut.ColorGmm, "log_likelihood", counting)
+    monkeypatch.setattr(grabcut, "_labeling_energy", lambda *args: energies.append(args))
+    image, _, init = helpers.disk_scene()
+    params = ea.GrabcutParams(rng_seed=3)
+    band = int(build_trimap(init, params).probable().sum())
+    ea.refine_class(init, image, 1, params)
+    assert scored and set(scored) == {band} and band < init.size
+    assert energies == []
+
+
+def test_refine_class_has_grabcut_refine_s_mask():
+    rng = np.random.default_rng(23)
+    cases = 0
+    for i, (mask, params) in enumerate(_random_masks()):
+        colours = rng.integers(0, 256, (2, 3))
+        image = colours[mask].astype(np.float64)
+        if i % 3 == 0:
+            image[:] = colours[0]
+        else:
+            image += rng.normal(0, rng.uniform(2, 40), image.shape)
+        image = np.clip(image, 0, 255).astype(np.uint8)
+        params = dataclasses.replace(params, components_k=int(rng.integers(1, 6)), rng_seed=i)
+        refined, _ = ea.grabcut_refine(image, mask, params)
+        got = ea.refine_class(mask * 4, image, 4, params)
+        assert got.tobytes() == (refined * 4).tobytes()
+        cases += 1
+    assert cases == 80
 
 
 def test_refine_class_requires_class_present():

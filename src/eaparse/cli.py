@@ -7,11 +7,13 @@ seed, ``--jobs N`` runs pipeline frames in up to N worker processes, and
 This process is one of the workers and runs one share of the frames; the
 others are children started by ``os.fork``, so there is at most one process
 per frame. The output bytes, and the error of a failing run, are the same
-for any N; where ``os.fork`` does not exist, frames run one by one in this
-process. A subcommand flag that shadows a config key has the key's dotted
-path as its dest (``--gamma``: ``grabcut.gamma``); the flags given are merged
-over the config as the config is merged over the defaults, so handlers read
-every setting from ``cfg``.
+for any N. A run that fails outright (a worker dies, a fork fails) stops the
+other workers: it kills every child it has not yet read, and reaps every
+child on every path. Where ``os.fork`` does not exist, frames run one by one
+in this process. A subcommand flag that shadows a config key has the key's
+dotted path as its dest (``--gamma``: ``grabcut.gamma``); the flags given are
+merged over the config as the config is merged over the defaults, so
+handlers read every setting from ``cfg``.
 
 Exit codes: 0 on success, 2 on malformed input of any kind (bad files, bad
 flags, unknown config keys), 1 on an internal error. No subcommand writes a
@@ -49,6 +51,7 @@ import gc
 import json
 import os
 import pickle
+import signal
 import sys
 import traceback
 from collections import defaultdict
@@ -59,7 +62,7 @@ import numpy as np
 from .augment import SwapTable, cut_half, hflip_with_swap, rotate_quarter
 from .boundary import DEFAULT_EDGE_RADIUS, edge_attention_mask, extract_boundary
 from .ensemble import ensemble_argmax, ensemble_probabilities
-from .errors import IoFailure, ToolkitError
+from .errors import IoFailure, ShapeMismatch, ToolkitError
 from .grabcut import GrabcutParams, _refine_class, refine_class
 from .metrics import evaluate_frames
 from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
@@ -333,10 +336,18 @@ def _report_json(cfg, preds, gts) -> bytes:
     return (json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _read_ground_truth(path, shape: tuple) -> np.ndarray:
+    """The label map at ``path``, which must have the prediction's ``shape``."""
+    gt = read_label_map(path)
+    if gt.shape != shape:
+        raise ShapeMismatch(f"{path}: prediction shape {shape} != ground truth shape {gt.shape}")
+    return gt
+
+
 def _cmd_eval(cfg, args) -> int:
     names = _list_frames(args.pred_dir, ".pgm")
     preds = [read_label_map(Path(args.pred_dir) / n) for n in names]
-    gts = [read_label_map(Path(args.gt_dir) / n) for n in names]
+    gts = [_read_ground_truth(Path(args.gt_dir) / n, p.shape) for n, p in zip(names, preds)]
     _write_files([(args.out, _report_json(cfg, preds, gts))])
     return 0
 
@@ -380,8 +391,8 @@ def _pipeline_frame(task):
     cfg, args, idx, stem, boxes = task
     try:
         image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
-        gt = read_label_map(Path(args.gt_dir) / f"{stem}.pgm")
         h, w = image.shape[:2]
+        gt = _read_ground_truth(Path(args.gt_dir) / f"{stem}.pgm", (h, w))  # the prediction is (h, w)
 
         canvas = np.zeros((h, w), dtype=np.uint8)
         confidence = np.zeros((h, w), dtype=np.float64)
@@ -435,7 +446,12 @@ def _fork_worker(tasks) -> tuple[int, int]:
     ``os._exit``: 0 once its share is written, 1 with a traceback on any
     other failure, having written nothing."""
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:  # no child, so neither end of its pipe is needed
+        os.close(read_end)
+        os.close(write_end)
+        raise
     if pid == 0:
         code = 1
         try:
@@ -472,11 +488,12 @@ def _run_frames(tasks, jobs: int) -> list:
     Frame i runs in worker i % jobs. This process is worker 0; the others
     are forked children, each running its frames in order up to its first
     failure. The failure of the earliest frame is raised, so the error is
-    the one that ``jobs`` = 1 raises. Every child is reaped on every path.
-    Without ``os.fork``, frames run in turn here.
+    the one that ``jobs`` = 1 raises. If the run fails outright (a child
+    dies, a fork fails), every child not yet read is killed; every child is
+    reaped on every path. Without ``os.fork``, this process is the one
+    worker and runs every frame in turn.
     """
-    if jobs == 1 or not hasattr(os, "fork"):
-        return [_pipeline_frame(task) for task in tasks]
+    jobs = jobs if hasattr(os, "fork") else 1
     children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
         for worker in range(1, jobs):
@@ -485,8 +502,9 @@ def _run_frames(tasks, jobs: int) -> list:
         shares = [_frame_share(tasks[0::jobs])]
         for pid in list(children):
             shares.append(_worker_share(pid, children.pop(pid)))
-    finally:  # on failure: a child still writing meets a closed pipe and exits
+    finally:  # left only if the run failed: its other children's work is of no use
         for pid, read_end in children.items():
+            os.kill(pid, signal.SIGKILL)
             os.close(read_end)
             os.waitpid(pid, 0)
     # worker w's j-th frame is frame w + j * jobs, and it stopped at its first failure

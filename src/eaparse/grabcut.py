@@ -335,7 +335,8 @@ def _estimate(px: np.ndarray, assign: np.ndarray, k: int, prev_means: np.ndarray
 
 
 def _square_distance(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """(N,) squared distance of channel rows ``x`` to one centre, channels summed in order."""
+    """Squared distance of channel rows ``x`` to one centre, or to channel rows
+    of the same shape, summed over R, then G, then B."""
     return (x[0] - centre[0]) ** 2 + (x[1] - centre[1]) ** 2 + (x[2] - centre[2]) ** 2
 
 
@@ -359,9 +360,8 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
 
     rng = np.random.default_rng(rng_seed)
     centers = [x[:, int(rng.integers(n))]]
-    dist = np.empty((k, n))  # squared distance of every pixel to each centre
-    dist[0] = _square_distance(x, centers[0])
-    d2 = dist[0].copy()  # to the nearest centre so far
+    d2 = _square_distance(x, centers[0])  # to the nearest centre so far
+    assign = np.zeros(n, dtype=np.intp)  # that centre; the first one on ties
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -369,10 +369,10 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
         else:
             idx = int(rng.integers(n))
         centers.append(x[:, idx])
-        dist[i] = _square_distance(x, centers[i])
-        np.minimum(d2, dist[i], out=d2)
+        d = _square_distance(x, centers[i])
+        assign[d < d2] = i
+        np.minimum(d2, d, out=d2)
 
-    assign = _first_max(np.negative(dist))
     gmm = _estimate(x.T, assign, k, prev_means=np.array(centers))
     for _ in range(_GMM_ROUNDS):
         new_assign = _first_max(gmm._scores(x.T))
@@ -530,7 +530,7 @@ def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray], state: 
     the terminal of its side; fixing starts from the nodes that start free.
     """
     n = graph.source_cap.shape[0]
-    edges = graph.edges.astype(np.int64)
+    edges = graph.edges.astype(np.int64, copy=False)
     nbr, ncap = table
     state = np.append(state, _ABSENT).astype(np.int8)
 
@@ -582,51 +582,44 @@ def _direction_pairs(h: int, w: int, dr: int, dc: int) -> tuple[tuple[slice, sli
     return first, second
 
 
-def _window_edges(z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every 8-neighbour pair of a window and its contrast-sensitive smoothness weight.
+def _window_edges(x: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A window's 8-neighbour graph: every pair, its smoothness weight and ``_reduced_cut``'s table.
 
-    ``edges`` (m, 2) holds the flat window indices of each pair, ordered by
-    direction and then row-major. The weight between neighbours p, q is
-    gamma * exp(-beta * ||z_p - z_q||^2) divided by their distance, with
-    beta = 1 / (2 * mean squared color difference over all pairs). A
-    constant image makes that mean zero; beta falls back to 0 and the
-    weights become uniform gamma / dist.
+    ``x`` holds the window's colours as (3, h, w) channel rows. ``edges``
+    (m, 2) holds the flat window indices of each pair, ordered by direction
+    and then row-major. The weight between neighbours p, q is
+    gamma * exp(-beta * ||x_p - x_q||^2) divided by their distance, with
+    beta = 1 / (2 * mean squared color difference over all pairs), each
+    squared difference summed over R, then G, then B. A constant image makes
+    that mean zero; beta falls back to 0 and the weights become uniform
+    gamma / dist.
+
+    The table (nbr, ncap) is built here, in the same pass over the grid, and
+    nowhere else. Row p has 8 slots: p's neighbour to the right, below,
+    below-right and below-left, then the pixel that has p as that neighbour,
+    in the same direction order (left, above, above-left, above-right); a
+    slot off the window holds h * w and capacity 0. So each row's present
+    neighbours come in the order of its edges.
     """
-    h, w = z.shape[:2]
+    _, h, w = x.shape
     index = np.arange(h * w).reshape(h, w)
-    pairs, diffs = [], []
-    for dr, dc, _ in _DIRECTIONS:
+    nbr, ncap = np.full((h, w, 8), h * w), np.zeros((h, w, 8))
+    slots, pairs, diffs = [], [], []
+    for d, (dr, dc, _) in enumerate(_DIRECTIONS):
         first, second = _direction_pairs(h, w, dr, dc)
+        outgoing, incoming = first + (d,), second + (4 + d,)
+        nbr[outgoing], nbr[incoming] = index[second], index[first]
+        slots.append((outgoing, incoming))
         pairs.append(np.stack([index[first].ravel(), index[second].ravel()], axis=1))
-        diffs.append(((z[first] - z[second]) ** 2).sum(axis=2).ravel())
+        diffs.append(_square_distance(x[(slice(None), *first)], x[(slice(None), *second)]))
     count = sum(d.size for d in diffs)
     mean_sq = sum(float(d.sum()) for d in diffs) / count if count else 0.0
     beta = 0.0 if mean_sq == 0.0 else 1.0 / (2.0 * mean_sq)
     weights = [gamma * np.exp(-beta * d) / dist for (_, _, dist), d in zip(_DIRECTIONS, diffs)]
-    return np.concatenate(pairs), np.concatenate(weights)
-
-
-def _grid_table(shape: tuple[int, int], edge_cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_reduced_cut``'s padded adjacency of a window's 8-neighbour graph, from its grid.
-
-    Row p has 8 slots: p's neighbour to the right, below, below-right and
-    below-left, then the pixel that has p as that neighbour, in the same
-    direction order (left, above, above-left, above-right); a slot off the
-    window holds h * w and capacity 0. ``edge_cap`` is in ``_window_edges``'s
-    order, so each row's present neighbours come in the order of its edges.
-    """
-    h, w = shape
-    index = np.arange(h * w).reshape(h, w)
-    nbr = np.full((h, w, 8), h * w)
-    ncap = np.zeros((h, w, 8))
-    start = 0
-    for d, (dr, dc, _) in enumerate(_DIRECTIONS):
-        first, second = _direction_pairs(h, w, dr, dc)
-        caps = edge_cap[start : start + index[first].size].reshape(index[first].shape)
-        start += caps.size
-        nbr[first + (d,)], ncap[first + (d,)] = index[second], caps
-        nbr[second + (4 + d,)], ncap[second + (4 + d,)] = index[first], caps
-    return nbr.reshape(h * w, 8), ncap.reshape(h * w, 8)
+    for (outgoing, incoming), weight in zip(slots, weights):
+        ncap[outgoing] = ncap[incoming] = weight
+    table = nbr.reshape(h * w, 8), ncap.reshape(h * w, 8)
+    return np.concatenate(pairs), np.concatenate([weight.ravel() for weight in weights]), table
 
 
 def _labeling_energy(alpha, data_fg, data_bg, edges, edge_cap) -> float:
@@ -636,19 +629,19 @@ def _labeling_energy(alpha, data_fg, data_bg, edges, edge_cap) -> float:
     return float(data_fg[a].sum() + data_bg[~a].sum()) + float(edge_cap[crossing].sum())
 
 
-def _window_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray):
+def _window_cut(trimap: Trimap, edges: np.ndarray, edge_cap: np.ndarray, table: tuple[np.ndarray, np.ndarray]):
     """The min-cut of a window's trimap, as a function of the round's data terms.
 
-    The graph is the window's own: every window pixel is a node and
-    ``edges`` (from ``_window_edges``) is its edge list. The definite pixels
-    start fixed to their side in ``_reduced_cut``, so an edge between two of
-    them is never read and an edge from one to an ambiguous pixel counts
-    toward the terminal of its side; their own data terms are never read
-    either. The neighbour table and the starting states are built once; the
-    returned function maps the data terms (flat over the window) to the
-    window's foreground after the cut.
+    The graph is the window's own: every window pixel is a node, and
+    ``edges``, ``edge_cap`` and the neighbour ``table`` all come from
+    ``_window_edges``, which builds them once per window. The definite
+    pixels start fixed to their side in ``_reduced_cut``, so an edge between
+    two of them is never read and an edge from one to an ambiguous pixel
+    counts toward the terminal of its side; their own data terms are never
+    read either. The starting states are built here, once; the returned
+    function maps the data terms (flat over the window) to the window's
+    foreground after the cut.
     """
-    table = _grid_table(trimap.data.shape, edge_cap)
     state = np.select([trimap.definite_fg(), trimap.definite_bg()], [_SOURCE, _SINK], _FREE).reshape(-1)
 
     def cut(data_fg: np.ndarray, data_bg: np.ndarray) -> np.ndarray:
@@ -727,15 +720,15 @@ def _grabcut(image, init, params: GrabcutParams | None, record_trace: bool):
     window = _window(mask, 2 * params.dilate_radius + 1)
     crop = mask[window]
     trimap = build_trimap(crop, params)
-    z = img[window].astype(np.float64)
-    edges, edge_cap = _window_edges(z, params.gamma)
-    window_cut = _window_cut(trimap, edges, edge_cap)
+    x = img[window].transpose(2, 0, 1).astype(np.float64, order="C")  # (3, h, w) channel rows
+    edges, edge_cap, table = _window_edges(x, params.gamma)
+    window_cut = _window_cut(trimap, edges, edge_cap, table)
 
     # one fixed fitting seed per side, reused every round: the fit depends
     # only on the current partition, never on iteration count
     fg_seed, bg_seed = (int(v) for v in np.random.SeedSequence(params.rng_seed).generate_state(2, dtype=np.uint64))
 
-    pixels = np.ascontiguousarray(z.reshape(-1, 3).T)  # one row per colour channel
+    pixels = x.reshape(3, -1)
     scored = slice(None) if record_trace else trimap.probable().reshape(-1)
     scored_px = pixels[:, scored].T
     data_fg, data_bg = np.zeros(crop.size), np.zeros(crop.size)

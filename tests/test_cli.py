@@ -3,6 +3,7 @@
 import argparse
 import copy
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import helpers
 import eaparse as ea
 from eaparse import cli, grabcut
 from eaparse.cli import main
+from eaparse.tensorio import _label_map_bytes
 
 
 def run(capsys, *argv):
@@ -738,6 +740,24 @@ def test_eval_missing_gt_leaves_no_output(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_ground_truth_of_another_size_is_named_in_frame_order(capsys, tmp_path):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    shutil.copytree(paths["gt"], tmp_path / "pred")
+    gt = paths["gt"] / "001.pgm"
+    ea.write_label_map(np.zeros((10, 12), dtype=np.uint8), gt)
+    member = paths["degraded"] / "002__0.fplt"  # a later frame fails too, and is not the one reported
+    member.write_bytes(member.read_bytes()[:-5])
+    want = f"{gt}: prediction shape (32, 32) != ground truth shape (10, 12)\n"
+    for jobs in ("1", "2", "3"):
+        code, out, err = run(capsys, "--jobs", jobs, *_pipeline_argv(paths, tmp_path / "out"))
+        assert code == 2 and out == "" and err == f"error: frame 001: {want}"
+        assert not (tmp_path / "out").exists()
+    argv = ["eval", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(paths["gt"])]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "report.json"))
+    assert code == 2 and out == "" and err == f"error: {want}"
+    assert not (tmp_path / "report.json").exists()
+
+
 def _ground_truths(rng) -> list:
     """Random uint8 ground truths: some all zero, class 255 in some, and one class
     that only one frame holds."""
@@ -1415,15 +1435,18 @@ def test_pipeline_runs_frames_in_turn_without_fork(capsys, tmp_path, monkeypatch
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
-@pytest.mark.parametrize("broken, reported", [(("001", "002"), "001"), (("000", "003"), "000")])
+@pytest.mark.parametrize(
+    "broken, reported", [(("001", "002"), "001"), (("000", "003"), "000"), (("002", "003"), "002")]
+)
 def test_pipeline_reports_the_earliest_failing_frame_of_any_worker(capsys, tmp_path, broken, reported):
-    # at --jobs 2 this process runs frames 000 and 002 and one child runs 001 and 003
+    # at --jobs 2 this process runs frames 000 and 002 and one child runs 001 and 003;
+    # at --jobs 3 this process runs 000 and 003, the first child 001, the second 002
     paths = helpers.write_clip(tmp_path / "clip", n_frames=4)
     for stem in broken:
         member = paths["degraded"] / f"{stem}__0.fplt"
         member.write_bytes(member.read_bytes()[:-5])
     errors = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out_dir = tmp_path / f"out{jobs}"
         code, out, err = run(capsys, "--jobs", jobs, *_pipeline_argv(paths, out_dir))
         assert code == 2 and out == ""
@@ -1431,7 +1454,7 @@ def test_pipeline_reports_the_earliest_failing_frame_of_any_worker(capsys, tmp_p
         assert not out_dir.exists()
         assert _no_child_left()
         errors.append(err.replace(str(out_dir), "OUT"))
-    assert errors[0] == errors[1]
+    assert errors[0] == errors[1] == errors[2]
 
 
 def test_pipeline_worker_that_dies_without_a_result_is_an_internal_error(capsys, tmp_path, monkeypatch):
@@ -1450,6 +1473,56 @@ def test_pipeline_worker_that_dies_without_a_result_is_an_internal_error(capsys,
     assert "pipeline worker" in err and "status 3" in err
     assert not (tmp_path / "out").exists()
     assert _no_child_left()
+
+
+def test_pipeline_worker_that_dies_stops_the_other_workers(tmp_path):
+    # a fresh interpreter, whose stderr holds what the children print; the second
+    # child's one 192 x 192 frame pickles to more than a 64 KiB pipe buffer, so
+    # a child left running would block on its write until its pipe is closed
+    argv = _write_wide_clip(tmp_path / "clip", n_frames=3, size=192)
+    argv[argv.index("--jobs") + 1] = "3"
+    script = (
+        "import json, os, sys; from eaparse import cli; parent = os.getpid(); frame = cli._pipeline_frame\n"
+        "def dying(task):\n"
+        "    if os.getpid() != parent and task[2] == 1: os._exit(3)\n"
+        "    return frame(task)\n"
+        "cli._pipeline_frame = dying; code = cli.main(json.loads(sys.argv[1]))\n"
+        "try: os.waitpid(-1, os.WNOHANG); left = True\n"
+        "except ChildProcessError: left = False\n"
+        "print(json.dumps([code, left]))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [1, False], proc.stderr
+    assert "pipeline worker" in proc.stderr and "status 3" in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "clip" / "out").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors under /proc/self/fd")
+def test_pipeline_failed_fork_closes_its_pipe(capsys, tmp_path, monkeypatch):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    forks = []
+    fork = os.fork
+
+    def failing_second():
+        forks.append(1)  # counted in this process only
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_second)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    code, out, err = run(capsys, "--jobs", "3", *_pipeline_argv(paths, tmp_path / "out"))
+    assert code == 2 and out == ""  # main's exit code for an OSError
+    assert err.startswith("error: ") and "Resource temporarily unavailable" in err and "Traceback" not in err
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert _no_child_left()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -1914,6 +1987,12 @@ def _coordinate(value):
     return _entry(edit)
 
 
+def _other_size(data: bytes, rng) -> bytes:
+    """A valid label map smaller than the clip's 32 x 32 frames, in place of ``data``."""
+    h, w = (int(v) for v in rng.integers(1, 32, 2))
+    return _label_map_bytes(rng.integers(0, 3, (h, w), dtype=np.uint8))
+
+
 _MUTATIONS = {
     "truncate": _truncate,
     "append": _append_byte,
@@ -1939,6 +2018,7 @@ _MUTATIONS = {
     "frame-number": _entry(lambda entry, rng: entry.update(frame=7)),
     "frame-list": _entry(lambda entry, rng: entry.update(frame=[entry["frame"]])),
     "frame-object": _entry(lambda entry, rng: entry.update(frame={"name": entry["frame"]})),
+    "other-size": _other_size,
 }
 _PNM_EDITS = ("truncate", "truncate", "append", "pnm-magic", "width", "height", "maxval")
 _FPLT_EDITS = ("truncate", "truncate", "append", "fplt-magic", "version", "channels", "non-finite", "non-finite")
@@ -1981,6 +2061,9 @@ _MUTATION_CASES = (
     + [(command, "boxes", m) for command in ("roi-crop", "roi-paste") for m in _JSONL_EDITS]
     # appended last, so that the earlier cases keep their indices
     + [(command, "boxes", m) for command in ("pipeline", "roi-crop", "roi-paste") for m in _FRAME_NAME_EDITS]
+    # a ground truth of another size than its frame, run through pipeline and eval;
+    # the two cases resize frame 000 and frame 001
+    + [("pipeline", "gt", "other-size")] * 2
 )
 
 

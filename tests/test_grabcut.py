@@ -504,8 +504,8 @@ def _oracle_cut(z, trimap, data_fg, data_bg, gamma) -> np.ndarray:
 def test_window_cut_equals_max_flow_on_the_folded_graph():
     cases = searched = 0
     for z, trimap, data_fg, data_bg, gamma in _random_windows(12, 56):
-        edges, edge_cap = grabcut._window_edges(z, gamma)
-        got = grabcut._window_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+        edges, edge_cap, table = grabcut._window_edges(np.moveaxis(z, 2, 0), gamma)
+        got = grabcut._window_cut(trimap, edges, edge_cap, table)(data_fg, data_bg)
         want = _oracle_cut(z, trimap, data_fg, data_bg, gamma)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -517,8 +517,7 @@ def test_window_cut_equals_max_flow_on_the_folded_graph():
 @pytest.mark.parametrize("shape", [(5, 7), (1, 4), (6, 1), (9, 9), (1, 1), (2, 2)])
 def test_grid_table_lists_the_edge_list_neighbours_in_its_order(shape):
     z = np.random.default_rng(sum(shape)).integers(0, 256, shape + (3,)).astype(np.float64)
-    edges, edge_cap = grabcut._window_edges(z, 10.0)
-    nbr, ncap = grabcut._grid_table(shape, edge_cap)
+    edges, edge_cap, (nbr, ncap) = grabcut._window_edges(np.moveaxis(z, 2, 0), 10.0)
     n = z.shape[0] * z.shape[1]
     assert nbr.shape == ncap.shape == (n, 8)
     want_nbr, want_cap = helpers.neighbour_table(n, edges, edge_cap)
@@ -531,8 +530,8 @@ def test_grid_table_lists_the_edge_list_neighbours_in_its_order(shape):
 
 def test_window_cut_on_one_colour_windows_has_the_folded_cut_energy():
     for z, trimap, data_fg, data_bg, gamma in _random_windows(13, 24, one_colour=True):
-        edges, edge_cap = grabcut._window_edges(z, gamma)
-        got = grabcut._window_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+        edges, edge_cap, table = grabcut._window_edges(np.moveaxis(z, 2, 0), gamma)
+        got = grabcut._window_cut(trimap, edges, edge_cap, table)(data_fg, data_bg)
         want = _oracle_cut(z, trimap, data_fg, data_bg, gamma)
         e_got = grabcut._labeling_energy(got, data_fg, data_bg, edges, edge_cap)
         e_want = grabcut._labeling_energy(want, data_fg, data_bg, edges, edge_cap)
@@ -545,8 +544,8 @@ def test_labeling_energy_equals_the_double_loop():
     radii_zero = 0
     for one_colour in (False, True):
         for z, trimap, data_fg, data_bg, gamma in _random_windows(15 + one_colour, 16, one_colour):
-            edges, edge_cap = grabcut._window_edges(z, gamma)
-            cut = grabcut._window_cut(trimap, edges, edge_cap)(data_fg, data_bg)
+            edges, edge_cap, table = grabcut._window_edges(np.moveaxis(z, 2, 0), gamma)
+            cut = grabcut._window_cut(trimap, edges, edge_cap, table)(data_fg, data_bg)
             for alpha in (cut, trimap.definite_fg(), rng.random(cut.shape) < 0.5):
                 got = grabcut._labeling_energy(alpha, data_fg, data_bg, edges, edge_cap)
                 want = helpers.oracle_labeling_energy(alpha, data_fg, data_bg, z, gamma)

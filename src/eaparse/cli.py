@@ -6,19 +6,21 @@ seed, ``--jobs N`` runs pipeline frames in up to N worker processes, and
 ``--print-config`` prints the effective configuration as JSON and exits.
 This process is one of the workers and runs one share of the frames; the
 others are children started by ``os.fork``, so there is at most one process
-per frame. The output bytes, and the error of a failing run, are the same
-for any N. A run that fails outright (a worker dies, a fork fails) stops the
-other workers: it kills every child it has not yet read, and reaps every
-child on every path. Where ``os.fork`` does not exist, frames run one by one
-in this process. A subcommand flag that shadows a config key has the key's
-dotted path as its dest (``--gamma``: ``grabcut.gamma``); the flags given are
+per frame. The output bytes are the same for any N, and so is the error of a
+failing run: the earliest failing frame's, met by one walk over the frames
+in order. However a run fails (a frame, a worker that dies, a fork), it
+kills every child it has not yet read, and it reaps every child on every
+path. Where ``os.fork`` does not exist, frames run one by one in this
+process. A subcommand flag that shadows a config key has the key's dotted
+path as its dest (``--gamma``: ``grabcut.gamma``); the flags given are
 merged over the config as the config is merged over the defaults, so
 handlers read every setting from ``cfg``.
 
-Exit codes: 0 on success, 2 on malformed input of any kind (bad files, bad
-flags, unknown config keys), 1 on an internal error. No subcommand writes a
-partial output: results are computed fully before the first byte goes to
-disk.
+Exit codes, returned by ``main`` alone: 0 on success, 2 on malformed input
+of any kind (a ``ToolkitError``: bad files, bad flags, unknown config keys),
+1 on an internal error or a failure of the machine (an ``OSError`` such as
+a fork that fails). No subcommand writes a partial output: results are
+computed fully before the first byte goes to disk.
 
 Allocator policy: where the C library is glibc, ``main`` first raises glibc's
 mmap threshold to 32 MiB and its trim threshold to 64 MiB with ``mallopt``;
@@ -111,7 +113,11 @@ DEFAULT_CONFIG = {
 _KINDS = {  # kind: (test, what a value of that kind must be)
     "int": (lambda v: type(v) is int, "an integer"),
     "float": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
-    "list": (lambda v: type(v) is list and all(type(x) is int for x in v), "a list of integers"),
+    # a class id: a uint8 label, each counted once
+    "list": (
+        lambda v: type(v) is list and all(type(x) is int and 0 <= x <= 255 for x in v) and len(set(v)) == len(v),
+        "a list of distinct integers in 0..255",
+    ),
     "size": (lambda v: type(v) is list and list(map(type, v)) == [int, int], "[height, width]"),
 }
 # A leaf has the kind of its default. The null defaults name theirs here (null
@@ -236,14 +242,13 @@ def _grabcut_params(cfg: dict, rng_seed: int) -> GrabcutParams:
 # --- subcommand handlers ---
 
 
-def _cmd_edges(cfg, args) -> int:
+def _cmd_edges(cfg, args):
     labels = read_label_map(args.labels)
     mask = edge_attention_mask(labels, cfg["edge_radius"])
     write_label_map(mask, args.out)
-    return 0
 
 
-def _cmd_loss(cfg, args) -> int:
+def _cmd_loss(cfg, args):
     want_grad = args.grad_out is not None
     logits = read_logits(args.logits)
     labels = read_label_map(args.labels)
@@ -265,10 +270,9 @@ def _cmd_loss(cfg, args) -> int:
     if want_grad:
         write_logits(total.gradient.astype(np.float32), args.grad_out)
     print(json.dumps({"loss": total.loss, "pixels": total.contributing_pixels}))
-    return 0
 
 
-def _cmd_augment(cfg, args) -> int:
+def _cmd_augment(cfg, args):
     image = read_rgb_image(args.image)
     labels = read_label_map(args.labels)
 
@@ -286,10 +290,9 @@ def _cmd_augment(cfg, args) -> int:
         (f"{args.out_prefix}image.ppm", _rgb_image_bytes(out_image)),
         (f"{args.out_prefix}labels.pgm", _label_map_bytes(out_labels)),
     ])
-    return 0
 
 
-def _cmd_grabcut(cfg, args) -> int:
+def _cmd_grabcut(cfg, args):
     params = _grabcut_params(cfg, cfg["rng_seed"])
     image = read_rgb_image(args.image)
     labels = read_label_map(args.labels)
@@ -299,17 +302,15 @@ def _cmd_grabcut(cfg, args) -> int:
     if want_trace:
         outputs.append((args.energy_trace, (json.dumps(trace) + "\n").encode("utf-8")))
     _write_files(outputs)
-    return 0
 
 
-def _cmd_ensemble(cfg, args) -> int:
+def _cmd_ensemble(cfg, args):
     members = [read_logits(p) for p in args.inputs]
     size = cfg["ensemble_size"]
     height = args.height if args.height is not None else (size[0] if size else None)
     width = args.width if args.width is not None else (size[1] if size else None)
     pred = ensemble_argmax(members, height, width)
     write_label_map(pred, args.out)
-    return 0
 
 
 def _list_frames(directory, suffix: str) -> list[str]:
@@ -344,15 +345,14 @@ def _read_ground_truth(path, shape: tuple) -> np.ndarray:
     return gt
 
 
-def _cmd_eval(cfg, args) -> int:
+def _cmd_eval(cfg, args):
     names = _list_frames(args.pred_dir, ".pgm")
     preds = [read_label_map(Path(args.pred_dir) / n) for n in names]
     gts = [_read_ground_truth(Path(args.gt_dir) / n, p.shape) for n, p in zip(names, preds)]
     _write_files([(args.out, _report_json(cfg, preds, gts))])
-    return 0
 
 
-def _cmd_roi(cfg, args) -> int:
+def _cmd_roi(cfg, args):
     if args.roi_op == "crop":
         is_image = args.image is not None
         raster = read_rgb_image(args.image) if is_image else read_label_map(args.labels)
@@ -367,7 +367,6 @@ def _cmd_roi(cfg, args) -> int:
         patch = read_label_map(args.patch)
         box = _resolve_box(args)
         write_label_map(paste(canvas, patch, box), args.out)
-    return 0
 
 
 def _resolve_box(args) -> Box:
@@ -401,7 +400,9 @@ def _pipeline_frame(task):
             members = []
             for d in args.logits_dir:
                 path = Path(d) / f"{stem}__{k}.fplt"
-                if len(boxes) == 1 and not path.exists() and (Path(d) / f"{stem}.fplt").exists():
+                # os.path.exists is False where a member directory cannot be searched, so the
+                # read below names the file; Path.exists raises PermissionError there
+                if len(boxes) == 1 and not os.path.exists(path) and os.path.exists(Path(d) / f"{stem}.fplt"):
                     path = Path(d) / f"{stem}.fplt"
                 members.append(read_logits(path))
             probs = ensemble_probabilities(members, roi_box.height, roi_box.width)
@@ -428,23 +429,25 @@ def _pipeline_frame(task):
         raise type(exc)(f"frame {stem}: {exc}") from exc
 
 
-def _frame_share(tasks) -> tuple[list, ToolkitError | None]:
+def _frame_share(tasks) -> list:
     """Run ``tasks`` in order up to the first that fails: the results before
-    it, and its error (None if none failed)."""
-    results = []
+    it, then its error in its place."""
+    share = []
     for task in tasks:
         try:
-            results.append(_pipeline_frame(task))
+            share.append(_pipeline_frame(task))
         except ToolkitError as exc:
-            return results, exc
-    return results, None
+            share.append(exc)
+            break
+    return share
 
 
 def _fork_worker(tasks) -> tuple[int, int]:
-    """Fork a worker that runs ``_frame_share(tasks)`` and pickles it into a
-    pipe; returns its pid and the pipe's read end. The worker leaves through
-    ``os._exit``: 0 once its share is written, 1 with a traceback on any
-    other failure, having written nothing."""
+    """Fork a worker that pickles ``_frame_share(tasks)`` into a pipe; returns
+    its pid and the pipe's read end. The worker leaves through ``os._exit``: 0
+    once its share is written, 1 with a traceback on any other failure. A
+    worker that fails while pickling may leave part of a payload in the pipe,
+    so the parent uses a payload only when the exit status is 0."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -456,9 +459,8 @@ def _fork_worker(tasks) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_end)
-            payload = pickle.dumps(_frame_share(tasks), pickle.HIGHEST_PROTOCOL)
             with open(write_end, "wb") as pipe:
-                pipe.write(payload)
+                pickle.dump(_frame_share(tasks), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         except BaseException:
             traceback.print_exc()
@@ -469,7 +471,7 @@ def _fork_worker(tasks) -> tuple[int, int]:
     return pid, read_end
 
 
-def _worker_share(pid: int, read_end: int) -> tuple[list, ToolkitError | None]:
+def _worker_share(pid: int, read_end: int) -> list:
     """Read a forked worker's share to the end of its pipe, then reap the worker."""
     try:
         with open(read_end, "rb") as pipe:
@@ -485,36 +487,38 @@ def _worker_share(pid: int, read_end: int) -> tuple[list, ToolkitError | None]:
 def _run_frames(tasks, jobs: int) -> list:
     """Every frame's result, in frame order, from ``jobs`` workers.
 
-    Frame i runs in worker i % jobs. This process is worker 0; the others
-    are forked children, each running its frames in order up to its first
-    failure. The failure of the earliest frame is raised, so the error is
-    the one that ``jobs`` = 1 raises. If the run fails outright (a child
-    dies, a fork fails), every child not yet read is killed; every child is
-    reaped on every path. Without ``os.fork``, this process is the one
+    Frame i runs in worker i % jobs. This process is worker 0 and runs its
+    share first; the others are forked children, each running its frames in
+    order up to its first failure. Then one walk takes the frames in order,
+    reading child i's share when it reaches frame i, and raises the first
+    failure it meets: the earliest frame's, the error that ``jobs`` = 1
+    raises. However the run fails, every child not yet read is killed, and
+    every child is reaped. Without ``os.fork``, this process is the one
     worker and runs every frame in turn.
     """
     jobs = jobs if hasattr(os, "fork") else 1
-    children: dict[int, int] = {}  # pid -> read end of its pipe
+    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end), until read
     try:
         for worker in range(1, jobs):
-            pid, read_end = _fork_worker(tasks[worker::jobs])
-            children[pid] = read_end
+            children[worker] = _fork_worker(tasks[worker::jobs])
         shares = [_frame_share(tasks[0::jobs])]
-        for pid in list(children):
-            shares.append(_worker_share(pid, children.pop(pid)))
-    finally:  # left only if the run failed: its other children's work is of no use
-        for pid, read_end in children.items():
+        results = []
+        for i in range(len(tasks)):
+            if 0 < i < jobs:
+                shares.append(_worker_share(*children.pop(i)))
+            result = shares[i % jobs][i // jobs]  # a share ends at its failure, met before any later frame
+            if isinstance(result, ToolkitError):
+                raise result
+            results.append(result)
+        return results
+    finally:  # a child still here is of no use: the run failed
+        for pid, read_end in children.values():
             os.kill(pid, signal.SIGKILL)
             os.close(read_end)
             os.waitpid(pid, 0)
-    # worker w's j-th frame is frame w + j * jobs, and it stopped at its first failure
-    failed = [(w + len(done) * jobs, error) for w, (done, error) in enumerate(shares) if error is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return [shares[i % jobs][0][i // jobs] for i in range(len(tasks))]
 
 
-def _cmd_pipeline(cfg, args) -> int:
+def _cmd_pipeline(cfg, args):
     _grabcut_params(cfg, cfg["rng_seed"])  # checks the settings even if no frame refines
     stems = [Path(n).stem for n in _list_frames(args.images, ".ppm")]
     all_boxes = _read_boxes_jsonl(args.boxes)
@@ -536,7 +540,6 @@ def _cmd_pipeline(cfg, args) -> int:
         raise IoFailure(f"cannot write {out_dir}: {exc.strerror}") from exc
     outputs = [(out_dir / f"{stem}.pgm", _label_map_bytes(pred)) for stem, pred in zip(stems, preds)]
     _write_files(outputs + [(out_dir / "report.json", payload)])
-    return 0
 
 
 # --- allocator policy ---
@@ -753,16 +756,17 @@ def main(argv=None) -> int:
         cfg = _effective_config(args)
         if args.print_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
-            return 0
-        if args.command is None:
+        elif args.command is None:
             parser.error("a subcommand is required (or --print-config)")
-        return _HANDLERS[args.command](cfg, args)
-    except (ToolkitError, OSError) as exc:
+        else:
+            _HANDLERS[args.command](cfg, args)
+    except (ToolkitError, OSError) as exc:  # bad input, or a failure of the machine (a fork)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ToolkitError) else 1
     except Exception:  # pragma: no cover - internal failure path
         traceback.print_exc()
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,9 +8,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +243,23 @@ def test_bad_class_list_is_a_usage_error(capsys, command):
         main(REQUIRED[command] + ["--classes", "1,x"])
     assert exc.value.code == 2
     assert "argument --classes: class list must be comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--classes", "1,2,1"], "config.classes must be a list of distinct integers in 0..255 or null, got [1, 2, 1]"),
+        (["--classes", "1,256"], "config.classes must be a list of distinct integers in 0..255 or null, got [1, 256]"),
+        (["--refine-classes", "-1"], "config.grabcut.classes must be a list of distinct integers in 0..255, got [-1]"),
+    ],
+    ids=["repeated", "above-255", "negative"],
+)
+def test_class_list_must_hold_distinct_label_ids(capsys, argv, message):
+    code, out, err = run(capsys, "--print-config", *REQUIRED["pipeline"], *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    code, out, _ = run(capsys, "--print-config", *REQUIRED["pipeline"], "--classes", "0,255", "--refine-classes", "")
+    assert code == 0 and json.loads(out)["classes"] == [0, 255]
 
 
 def test_readme_default_config_matches_the_code():
@@ -1517,11 +1536,99 @@ def test_pipeline_failed_fork_closes_its_pipe(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", failing_second)
     open_fds = len(os.listdir("/proc/self/fd"))
     code, out, err = run(capsys, "--jobs", "3", *_pipeline_argv(paths, tmp_path / "out"))
-    assert code == 2 and out == ""  # main's exit code for an OSError
+    assert code == 1 and out == ""  # a failure of the machine, not malformed input
     assert err.startswith("error: ") and "Resource temporarily unavailable" in err and "Traceback" not in err
     assert len(forks) == 2
     assert len(os.listdir("/proc/self/fd")) == open_fds
     assert _no_child_left()
+    assert not (tmp_path / "out").exists()
+
+
+def _break_member(paths, stem: str) -> None:
+    member = paths["degraded"] / f"{stem}__0.fplt"
+    member.write_bytes(member.read_bytes()[:-5])
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_pipeline_failing_first_frame_stops_every_child(capsys, tmp_path, monkeypatch, jobs):
+    # this process runs frame 000 first and fails it; every child, whose frames
+    # would take 20 s each, is killed without being waited for
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=4)
+    _break_member(paths, "000")
+    parent = os.getpid()
+    frame = cli._pipeline_frame
+
+    def slow_in_a_child(task):
+        if os.getpid() != parent:
+            time.sleep(20)
+        return frame(task)
+
+    monkeypatch.setattr(cli, "_pipeline_frame", slow_in_a_child)
+    start = time.monotonic()
+    code, out, err = run(capsys, "--jobs", jobs, *_pipeline_argv(paths, tmp_path / "out"))
+    assert time.monotonic() - start < 10
+    assert code == 2 and out == ""
+    assert err.startswith("error: frame 000: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert _no_child_left()
+
+
+def test_pipeline_failure_in_a_child_stops_the_later_children(capsys, tmp_path, monkeypatch):
+    # at --jobs 3 the first child fails frame 001 at once; the second child, whose
+    # frame 002 would take 20 s, is killed once frame 001's share is read
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=3)
+    _break_member(paths, "001")
+    parent = os.getpid()
+    frame, fork, kill = cli._pipeline_frame, os.fork, os.kill
+    forks, kills = [], []
+
+    def slow_in_the_second_child(task):
+        if os.getpid() != parent and task[2] == 2:
+            time.sleep(20)
+        return frame(task)
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def recording_kill(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(cli, "_pipeline_frame", slow_in_the_second_child)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "kill", recording_kill)
+    start = time.monotonic()
+    code, out, err = run(capsys, "--jobs", "3", *_pipeline_argv(paths, tmp_path / "out"))
+    assert time.monotonic() - start < 10
+    assert code == 2 and out == ""
+    assert err.startswith("error: frame 001: ") and "Traceback" not in err
+    assert len(forks) == 2 and kills == [(forks[1], signal.SIGKILL)]
+    assert not (tmp_path / "out").exists()
+    assert _no_child_left()
+
+
+def test_pipeline_names_a_member_in_a_directory_it_cannot_search(capsys, tmp_path, monkeypatch):
+    # as for a member directory without search permission, which a root user does
+    # not see: every stat and open of a path inside it is refused
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=1)
+    denied = f"{paths['degraded']}{os.sep}"
+
+    def refused(call):
+        def refusing(path, *rest, **kwargs):
+            if str(path).startswith(denied):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return call(path, *rest, **kwargs)
+
+        return refusing
+
+    monkeypatch.setattr(os, "stat", refused(os.stat))
+    monkeypatch.setattr(ea.tensorio, "open", refused(open), raising=False)
+    code, out, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: frame 000: cannot read {paths['degraded'] / '000__0.fplt'}: "), err
     assert not (tmp_path / "out").exists()
 
 
@@ -2234,6 +2341,8 @@ _ARGUMENT_CASES = (
         for edit in ("out-dir", "out-missing-dir")
     ]
     + [("pipeline", "expand-flag"), ("pipeline", "expand-config"), ("roi-crop", "expand-flag")]
+    # appended last: class lists with a repeated id or an id that no uint8 label has
+    + [("eval", "classes-repeated"), ("pipeline", "refine-classes-300"), ("pipeline", "classes-config")]
 )
 
 
@@ -2271,8 +2380,13 @@ def _argument_case(tmp_path, command: str, edit: str) -> list:
         shutil.copy(pred / "000.pgm", pred / "002.pgm")
     elif edit == "expand-flag":
         argv += ["--expand", "1e308"]
-    else:  # expand-config
-        (tmp_path / "c.json").write_text('{"expand_ratio": 1e308}\n', encoding="utf-8")
+    elif edit == "classes-repeated":
+        argv += ["--classes", "1,1"]
+    elif edit == "refine-classes-300":
+        argv += ["--refine-classes", "300"]
+    else:  # expand-config, classes-config
+        doc = '{"expand_ratio": 1e308}' if edit == "expand-config" else '{"classes": [-1]}'
+        (tmp_path / "c.json").write_text(doc + "\n", encoding="utf-8")
         argv = ["--config", str(tmp_path / "c.json"), *argv]
     return [["--jobs", jobs, *argv] for jobs in ("1", "2")] if command == "pipeline" else [argv]
 

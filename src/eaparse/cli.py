@@ -4,17 +4,20 @@ Global flags (given before the subcommand): ``--config c.json`` merges a
 JSON document over the built-in defaults, ``--seed S`` overrides the config
 seed, ``--jobs N`` runs pipeline frames in up to N worker processes, and
 ``--print-config`` prints the effective configuration as JSON and exits.
-This process is one of the workers and runs one share of the frames; the
-others are children started by ``os.fork``, so there is at most one process
-per frame. The output bytes are the same for any N, and so is the error of a
-failing run: the earliest failing frame's, met by one walk over the frames
-in order. However a run fails (a frame, a worker that dies, a fork), it
-kills every child it has not yet read, and it reaps every child on every
-path. Where ``os.fork`` does not exist, frames run one by one in this
-process. A subcommand flag that shadows a config key has the key's dotted
-path as its dest (``--gamma``: ``grabcut.gamma``); the flags given are
-merged over the config as the config is merged over the defaults, so
-handlers read every setting from ``cfg``.
+This process is one of the workers; the others are children started by
+``os.fork``, so there is at most one process per frame. Each child sends one
+record per frame as soon as it has it. One walk over the frames in order
+runs this process's frames and reads each child's records as it reaches
+them, so the output bytes are the same for any N, and so is the error of a
+failing run: the earliest failing frame's, met within about one frame of the
+walk reaching it. However a run fails (a frame, a worker that dies, a fork),
+it kills every child it has not yet reaped, and it reaps every child on
+every path. Every frame's label map and ground truth stay in this process
+until the report and the PGMs are made. Where ``os.fork`` does not exist,
+frames run one by one in this process. A subcommand flag that shadows a
+config key has the key's dotted path as its dest (``--gamma``:
+``grabcut.gamma``); the flags given are merged over the config as the config
+is merged over the defaults, so handlers read every setting from ``cfg``.
 
 Exit codes, returned by ``main`` alone: 0 on success, 2 on malformed input
 of any kind (a ``ToolkitError``: bad files, bad flags, unknown config keys),
@@ -50,6 +53,7 @@ import copy
 import ctypes
 import dataclasses
 import gc
+import io
 import json
 import os
 import pickle
@@ -63,7 +67,7 @@ import numpy as np
 
 from .augment import SwapTable, cut_half, hflip_with_swap, rotate_quarter
 from .boundary import DEFAULT_EDGE_RADIUS, edge_attention_mask, extract_boundary
-from .ensemble import ensemble_argmax, ensemble_probabilities
+from .ensemble import _first_max, ensemble_argmax, ensemble_probabilities
 from .errors import IoFailure, ShapeMismatch, ToolkitError
 from .grabcut import GrabcutParams, _refine_class, refine_class
 from .metrics import evaluate_frames
@@ -249,6 +253,7 @@ def _cmd_edges(cfg, args):
 
 
 def _cmd_loss(cfg, args):
+    weights = LossWeights(**cfg["loss_weights"])  # checked before any file is read
     want_grad = args.grad_out is not None
     logits = read_logits(args.logits)
     labels = read_label_map(args.labels)
@@ -266,7 +271,7 @@ def _cmd_loss(cfg, args):
         el = read_logits(args.edge_logits)
         bnd = boundary_bce(el, extract_boundary(labels), want_gradient=want_grad)
 
-    total = total_loss(seg, edge, bnd, LossWeights(**cfg["loss_weights"]))
+    total = total_loss(seg, edge, bnd, weights)
     if want_grad:
         write_logits(total.gradient.astype(np.float32), args.grad_out)
     print(json.dumps({"loss": total.loss, "pixels": total.contributing_pixels}))
@@ -406,8 +411,8 @@ def _pipeline_frame(task):
                     path = Path(d) / f"{stem}.fplt"
                 members.append(read_logits(path))
             probs = ensemble_probabilities(members, roi_box.height, roi_box.width)
-            patch = probs.argmax(axis=0).astype(np.uint8)
-            patch_conf = probs.max(axis=0)
+            index, patch_conf = _first_max(probs)
+            patch = index.astype(np.uint8)
             canvas = paste(
                 canvas,
                 patch,
@@ -429,25 +434,13 @@ def _pipeline_frame(task):
         raise type(exc)(f"frame {stem}: {exc}") from exc
 
 
-def _frame_share(tasks) -> list:
-    """Run ``tasks`` in order up to the first that fails: the results before
-    it, then its error in its place."""
-    share = []
-    for task in tasks:
-        try:
-            share.append(_pipeline_frame(task))
-        except ToolkitError as exc:
-            share.append(exc)
-            break
-    return share
-
-
-def _fork_worker(tasks) -> tuple[int, int]:
-    """Fork a worker that pickles ``_frame_share(tasks)`` into a pipe; returns
-    its pid and the pipe's read end. The worker leaves through ``os._exit``: 0
-    once its share is written, 1 with a traceback on any other failure. A
-    worker that fails while pickling may leave part of a payload in the pipe,
-    so the parent uses a payload only when the exit status is 0."""
+def _fork_worker(tasks) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that runs ``tasks`` in order and pickles one record per
+    frame into a pipe as soon as it has it: the frame's result, or its
+    ``ToolkitError``, after which the worker stops. Returns its pid and a
+    buffered reader of the pipe's read end. The worker leaves through
+    ``os._exit``: 0 once its last record is written, 1 with a traceback on
+    any other failure."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -460,7 +453,12 @@ def _fork_worker(tasks) -> tuple[int, int]:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pickle.dump(_frame_share(tasks), pipe, pickle.HIGHEST_PROTOCOL)
+                try:
+                    for task in tasks:
+                        pickle.dump(_pipeline_frame(task), pipe, pickle.HIGHEST_PROTOCOL)
+                        pipe.flush()
+                except ToolkitError as exc:  # the last record: closing the pipe sends it
+                    pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         except BaseException:
             traceback.print_exc()
@@ -468,53 +466,54 @@ def _fork_worker(tasks) -> tuple[int, int]:
         finally:
             os._exit(code)  # never return into the parent's code
     os.close(write_end)
-    return pid, read_end
-
-
-def _worker_share(pid: int, read_end: int) -> list:
-    """Read a forked worker's share to the end of its pipe, then reap the worker."""
-    try:
-        with open(read_end, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0 or not payload:
-        code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(f"pipeline worker {pid} exited with status {code} and no result")
-    return pickle.loads(payload)
+    return pid, open(read_end, "rb")
 
 
 def _run_frames(tasks, jobs: int) -> list:
     """Every frame's result, in frame order, from ``jobs`` workers.
 
-    Frame i runs in worker i % jobs. This process is worker 0 and runs its
-    share first; the others are forked children, each running its frames in
-    order up to its first failure. Then one walk takes the frames in order,
-    reading child i's share when it reaches frame i, and raises the first
-    failure it meets: the earliest frame's, the error that ``jobs`` = 1
-    raises. However the run fails, every child not yet read is killed, and
-    every child is reaped. Without ``os.fork``, this process is the one
-    worker and runs every frame in turn.
+    Frame i runs in worker i % jobs. This process is worker 0; the others
+    are forked children, each sending one record per frame as it makes it,
+    up to its first failure. One walk takes the frames in order: it runs
+    frame i itself when i % jobs is 0, and otherwise loads the next record
+    of child i % jobs from a buffered reader of its pipe, waiting for it if
+    the child has not sent it yet. The walk raises the first failure it
+    meets: the earliest frame's, the error that ``jobs`` = 1 raises. A child
+    is reaped when its share ends: at its last record, at its failure, or
+    where its pipe ends without a whole record, which is an internal error
+    (the child died). However the run fails, every child not yet reaped is
+    killed, and every child is reaped. Without ``os.fork``, this process is
+    the one worker and runs every frame in turn.
     """
     jobs = jobs if hasattr(os, "fork") else 1
-    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end), until read
+    children = {}  # worker -> (pid, buffered reader of its pipe), until reaped
     try:
         for worker in range(1, jobs):
             children[worker] = _fork_worker(tasks[worker::jobs])
-        shares = [_frame_share(tasks[0::jobs])]
         results = []
-        for i in range(len(tasks)):
-            if 0 < i < jobs:
-                shares.append(_worker_share(*children.pop(i)))
-            result = shares[i % jobs][i // jobs]  # a share ends at its failure, met before any later frame
-            if isinstance(result, ToolkitError):
-                raise result
-            results.append(result)
+        for i, task in enumerate(tasks):
+            if i % jobs == 0:
+                results.append(_pipeline_frame(task))
+                continue
+            pid, pipe = children[i % jobs]
+            try:
+                record = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended early: the child died
+                record = None
+            if record is None or isinstance(record, ToolkitError) or i + jobs >= len(tasks):
+                del children[i % jobs]
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if record is None:
+                    raise RuntimeError(f"pipeline worker {pid} exited with status {code} and no result")
+            if isinstance(record, ToolkitError):
+                raise record
+            results.append(record)
         return results
     finally:  # a child still here is of no use: the run failed
-        for pid, read_end in children.values():
+        for pid, pipe in children.values():
             os.kill(pid, signal.SIGKILL)
-            os.close(read_end)
+            pipe.close()
             os.waitpid(pid, 0)
 
 
@@ -527,10 +526,10 @@ def _cmd_pipeline(cfg, args):
             raise ToolkitError(f"{args.boxes}: no box for frame {stem!r}")
 
     tasks = [(cfg, args, idx, stem, all_boxes[stem]) for idx, stem in enumerate(stems)]
-    results = _run_frames(tasks, min(args.jobs or os.cpu_count() or 1, len(tasks)))
-
-    preds = [r[0] for r in results]
-    payload = _report_json(cfg, preds, [r[1] for r in results])
+    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
+    preds, gts = (list(column) for column in zip(*_run_frames(tasks, jobs)))
+    payload = _report_json(cfg, preds, gts)
+    del gts  # the report is all that is kept of them
 
     # all computation succeeded; only now touch the disk
     out_dir = Path(args.out_dir)
@@ -538,7 +537,8 @@ def _cmd_pipeline(cfg, args):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write {out_dir}: {exc.strerror}") from exc
-    outputs = [(out_dir / f"{stem}.pgm", _label_map_bytes(pred)) for stem, pred in zip(stems, preds)]
+    # popped: each label map is dropped once its PGM is encoded
+    outputs = [(out_dir / f"{stem}.pgm", _label_map_bytes(preds.pop(0))) for stem in stems]
     _write_files(outputs + [(out_dir / "report.json", payload)])
 
 

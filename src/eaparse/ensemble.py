@@ -81,6 +81,22 @@ def resize_bilinear(tensor, out_height: int, out_width: int) -> np.ndarray:
     return out
 
 
+def _first_max(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and value of the largest entry along axis 0, the first index on
+    ties, as ``argmax(axis=0)`` and ``max(axis=0)``, for any trailing shape.
+
+    The rows are visited in order, so a row that beats the running best takes
+    a larger index than every row before it. Each row is one contiguous pass,
+    where an axis-0 ``argmax`` strides across the rows for every element.
+    """
+    best = np.array(rows[0])  # a copy, and an array even where rows is 1-D
+    index = np.zeros(rows.shape[1:], dtype=np.intp)
+    for i in range(1, rows.shape[0]):
+        np.maximum(index, (rows[i] > best) * i, out=index)
+        np.maximum(best, rows[i], out=best)
+    return index, best
+
+
 def ensemble_probabilities(
     logits_list, out_height: int | None = None, out_width: int | None = None
 ) -> np.ndarray:
@@ -120,4 +136,4 @@ def ensemble_argmax(
 ) -> np.ndarray:
     """Argmax label map of the ensembled probabilities; ties go to the lowest id."""
     probs = ensemble_probabilities(logits_list, out_height, out_width)
-    return probs.argmax(axis=0).astype(np.uint8)
+    return _first_max(probs)[0].astype(np.uint8)

@@ -39,7 +39,8 @@ from .errors import (
     ShapeMismatch,
     TooFewPixels,
 )
-from .tensorio import ensure_binary_mask, ensure_label_map, ensure_rgb_image
+from .ensemble import _first_max
+from .tensorio import _check_number, ensure_binary_mask, ensure_label_map, ensure_rgb_image
 
 # trimap pixel states
 TRIMAP_BG = 0  # definitely background, never reassigned
@@ -70,7 +71,13 @@ _DIRECTIONS = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, math.sqrt(2.0)), (1, -1, math.sq
 
 @dataclass(frozen=True)
 class GrabcutParams:
-    """Every free constant of the refinement, in one place."""
+    """Every free constant of the refinement, in one place.
+
+    Construction raises ``InvalidRaster`` naming the field unless every count
+    (``components_k``, ``iterations``, the two radii, ``rng_seed``) is an
+    integer, numpy integers included, and ``gamma`` a finite real number;
+    a bool is neither. Each must also lie in its range.
+    """
 
     components_k: int = 5
     gamma: float = 50.0
@@ -80,16 +87,12 @@ class GrabcutParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.components_k < 1:
-            raise InvalidRaster(f"components_k must be >= 1, got {self.components_k}")
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise InvalidRaster(f"gamma must be finite and >= 0, got {self.gamma}")
+        for name, low in (("components_k", 1), ("iterations", None), ("erode_radius", 0), ("dilate_radius", 0)):
+            _check_number(name, getattr(self, name), low, integer=True)
+        _check_number("rng_seed", self.rng_seed, 0, integer=True)
+        _check_number("gamma", self.gamma, 0)
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise InvalidRaster(f"iterations must be in 1..{MAX_ITERATIONS}, got {self.iterations}")
-        if self.erode_radius < 0 or self.dilate_radius < 0:
-            raise InvalidRaster("trimap radii must be >= 0")
-        if self.rng_seed < 0:
-            raise InvalidRaster(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 # dataclasses with ndarray fields use eq=False: they compare and hash by
@@ -139,20 +142,6 @@ def _channels(pixels) -> np.ndarray:
     come back as that array, with no copy.
     """
     return np.asarray(pixels, dtype=np.float64).reshape(-1, 3).T
-
-
-def _first_max(rows: np.ndarray) -> np.ndarray:
-    """Index of each column's largest row, the first on ties, as ``argmax(axis=0)``.
-
-    The rows are visited in order, so a row that beats the running best takes
-    a larger index than every row before it.
-    """
-    best = rows[0].copy()
-    index = np.zeros(rows.shape[1], dtype=np.intp)
-    for i in range(1, rows.shape[0]):
-        np.maximum(index, (rows[i] > best) * i, out=index)
-        np.maximum(best, rows[i], out=best)
-    return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,10 +340,12 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
     channel rows and the scores as component rows throughout. Fully
     deterministic for a fixed seed.
     """
-    x = np.ascontiguousarray(_channels(pixels))
+    px = np.asarray(pixels, dtype=np.float64)
+    if px.shape[-1:] != (3,) or not np.isfinite(px).all():
+        raise InvalidRaster(f"pixels must be finite RGB values of shape (..., 3), got shape {px.shape}")
+    x = np.ascontiguousarray(_channels(px))
     n = x.shape[1]
-    if k < 1:
-        raise InvalidRaster(f"a mixture needs at least one component, got {k}")
+    _check_number("k", k, 1, integer=True)
     if n < k:
         raise TooFewPixels(f"{n} pixels cannot support {k} mixture components")
 
@@ -375,7 +366,7 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
 
     gmm = _estimate(x.T, assign, k, prev_means=np.array(centers))
     for _ in range(_GMM_ROUNDS):
-        new_assign = _first_max(gmm._scores(x.T))
+        new_assign = _first_max(gmm._scores(x.T))[0]
         if (new_assign == assign).all():
             break
         assign = new_assign
@@ -412,6 +403,8 @@ class GridGraph:
             if caps.size and (not np.all(np.isfinite(caps)) or caps.min() < 0):
                 raise InvalidRaster("capacities must be finite and >= 0")
         if self.edges.size:
+            if not np.issubdtype(self.edges.dtype, np.integer):
+                raise InvalidRaster(f"edges must hold integer node indices, got dtype {self.edges.dtype}")
             if self.edges.min() < 0 or self.edges.max() >= n:
                 raise InvalidRaster("edge endpoint out of node range")
             if (self.edges[:, 0] == self.edges[:, 1]).any():

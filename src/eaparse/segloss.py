@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, LabelOutOfRange, MissingGradient, ShapeMismatch
-from .tensorio import ensure_binary_mask, ensure_label_map, ensure_logits
+from .tensorio import _check_number, ensure_binary_mask, ensure_label_map, ensure_logits
 
 
 # eq=False: compared and hashed by identity, as the gradient array has no
@@ -34,10 +34,19 @@ class LossResult:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Multipliers for the edge-restricted and boundary-map loss terms."""
+    """Multipliers for the edge-restricted and boundary-map loss terms.
+
+    Each must be a finite real number >= 0, not a bool: a negative weight
+    rewards the term's error and a NaN makes the total meaningless, so
+    construction raises ``InvalidRaster`` naming the weight.
+    """
 
     lambda_edge: float = 1.0
     lambda_boundary: float = 1.0
+
+    def __post_init__(self):
+        _check_number("lambda_edge", self.lambda_edge, 0)
+        _check_number("lambda_boundary", self.lambda_boundary, 0)
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> None:

@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
+import numbers
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -51,6 +54,18 @@ FPLT_VERSION = 1
 
 
 # --- in-memory validators ---
+
+
+def _check_number(name: str, value, low=None, integer: bool = False) -> None:
+    """InvalidRaster naming ``name`` unless ``value`` is an integer (with
+    ``integer``; numpy integers too) or else a real number within float
+    range, in either case not a bool, and at least ``low`` if given."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite number")
+    valid = isinstance(value, kind) and not isinstance(value, bool)
+    if valid and not integer:  # float() would overflow on a Python int beyond float range
+        valid = abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+    if not (valid and (low is None or value >= low)):
+        raise InvalidRaster(f"{name} must be {what}{'' if low is None else f' >= {low}'}, got {value!r}")
 
 
 def _as_uint8(a: np.ndarray, kind: str, values: str) -> np.ndarray:

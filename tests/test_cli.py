@@ -421,6 +421,20 @@ def test_loss_combines_edge_and_boundary_terms(capsys, tmp_path):
     assert json.loads(out)["loss"] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--edge-weight", "-1", "lambda_edge"), ("--boundary-weight", "-0.5", "lambda_boundary")],
+)
+def test_loss_rejects_a_negative_weight(capsys, tmp_path, flag, value, name):
+    _loss_fixture(tmp_path)
+    before = _tree(tmp_path)
+    argv = ["loss", "--logits", str(tmp_path / "x.fplt"), "--labels", str(tmp_path / "y.pgm")]
+    code, out, err = run(capsys, *argv, "--grad-out", str(tmp_path / "g.fplt"), flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be a finite number >= 0, got {float(value)}\n"
+    assert _tree(tmp_path) == before
+
+
 # --- augment ---
 
 
@@ -1606,6 +1620,48 @@ def test_pipeline_failure_in_a_child_stops_the_later_children(capsys, tmp_path, 
     assert code == 2 and out == ""
     assert err.startswith("error: frame 001: ") and "Traceback" not in err
     assert len(forks) == 2 and kills == [(forks[1], signal.SIGKILL)]
+    assert not (tmp_path / "out").exists()
+    assert _no_child_left()
+
+
+def test_pipeline_failure_in_a_child_is_met_before_the_next_frame_of_this_process(capsys, tmp_path, monkeypatch):
+    # at --jobs 2 the child fails frame 001 at once, and this process's frame 002
+    # would take 20 s: the walk reads frame 001's record before it runs frame 002
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=4)
+    _break_member(paths, "001")
+    parent = os.getpid()
+    frame = cli._pipeline_frame
+
+    def slow_here(task):
+        if os.getpid() == parent and task[2] == 2:
+            time.sleep(20)
+        return frame(task)
+
+    monkeypatch.setattr(cli, "_pipeline_frame", slow_here)
+    start = time.monotonic()
+    code, out, err = run(capsys, "--jobs", "2", *_pipeline_argv(paths, tmp_path / "out"))
+    assert time.monotonic() - start < 10
+    assert code == 2 and out == ""
+    assert err.startswith("error: frame 001: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert _no_child_left()
+
+
+def test_pipeline_worker_that_dies_after_sending_a_record_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    # at --jobs 2 the child sends frame 001's record, then dies in frame 003
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=4)
+    parent = os.getpid()
+    frame = cli._pipeline_frame
+
+    def dying_late(task):
+        if os.getpid() != parent and task[2] == 3:
+            os._exit(3)
+        return frame(task)
+
+    monkeypatch.setattr(cli, "_pipeline_frame", dying_late)
+    code, out, err = run(capsys, "--jobs", "2", *_pipeline_argv(paths, tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert "pipeline worker" in err and "status 3" in err
     assert not (tmp_path / "out").exists()
     assert _no_child_left()
 

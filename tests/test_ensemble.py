@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 import eaparse as ea
+from eaparse.ensemble import _first_max
 from eaparse.errors import ChannelMismatch, EmptyInput, InvalidRaster
 
 
@@ -87,6 +88,16 @@ def test_ensemble_order_is_deterministic():
     p1 = ea.ensemble_probabilities(members)
     p2 = ea.ensemble_probabilities(list(members))
     assert (p1 == p2).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (5, 7), (3, 4, 5), (4, 2, 3, 2), (3,)])
+def test_first_max_is_axis_0_argmax_and_max(shape):
+    rng = np.random.default_rng(len(shape))
+    rows = rng.integers(0, 3, shape).astype(np.float64)  # values 0-2: many exact ties
+    index, value = _first_max(rows)
+    assert index.shape == value.shape == shape[1:]
+    assert (index == rows.argmax(axis=0)).all() and (value == rows.max(axis=0)).all()
+    assert index.dtype == np.intp and value.dtype == rows.dtype
 
 
 def test_argmax_ties_take_lowest_id():

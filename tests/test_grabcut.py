@@ -1,6 +1,7 @@
 """Trimap seeding, mixture fits, exact min-cuts and mask refinement."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -305,7 +306,48 @@ def test_gmm_too_few_pixels():
         fit_gmm(np.zeros((2, 3)), 0, 0)
 
 
+def _nan_pixels() -> np.ndarray:
+    px = np.random.default_rng(4).uniform(0, 255, (10, 3))
+    px[3, 1] = np.nan
+    return px
+
+
+@pytest.mark.parametrize(
+    "pixels, k, name",
+    [
+        (np.zeros((10, 4)), 2, "pixels"),
+        (np.zeros(6), 2, "pixels"),
+        (_nan_pixels(), 2, "pixels"),
+        (np.full((10, 3), np.inf), 1, "pixels"),
+        (np.zeros((10, 3)), 2.5, "k"),
+        (np.zeros((10, 3)), 2.0, "k"),
+        (np.zeros((10, 3)), True, "k"),
+    ],
+    ids=["four-channels", "flat", "nan", "inf", "k-fraction", "k-float", "k-bool"],
+)
+def test_gmm_names_its_bad_argument_without_a_warning(pixels, k, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidRaster, match=f"^{name} must be "):
+            fit_gmm(pixels, k, 0)
+
+
+def test_gmm_accepts_a_numpy_integer_count():
+    px = np.random.default_rng(5).uniform(0, 255, (40, 3))
+    want = fit_gmm(px, 3, 7)
+    got = fit_gmm(px, np.int64(3), 7)
+    for a, b in ((want.weights, got.weights), (want.means, got.means), (want.covariances, got.covariances)):
+        assert a.tobytes() == b.tobytes()
+
+
 # --- max flow ---
+
+
+@pytest.mark.parametrize("edges", [[[0.5, 1.0]], [[0.0, 1.0]], [[True, False]]], ids=["fraction", "float", "bool"])
+def test_max_flow_rejects_edge_endpoints_that_are_not_integers(edges):
+    g = GridGraph(np.ones(2), np.ones(2), np.array(edges), np.ones(1))
+    with pytest.raises(InvalidRaster, match="^edges must hold integer node indices"):
+        max_flow(g)
 
 
 def test_max_flow_single_node():
@@ -932,6 +974,39 @@ def test_params_validation():
             ea.GrabcutParams(gamma=gamma)
     with pytest.raises(InvalidRaster):
         ea.GrabcutParams(rng_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("iterations", 2.5),
+        ("components_k", 2.0),
+        ("erode_radius", 1.5),
+        ("dilate_radius", np.float64(2.0)),
+        ("components_k", "3"),
+        ("iterations", True),
+        ("rng_seed", 0.0),
+        ("gamma", True),
+        ("gamma", "50"),
+        ("gamma", 10**400),
+        ("gamma", None),
+    ],
+)
+def test_params_reject_values_of_the_wrong_type(field, value):
+    with pytest.raises(InvalidRaster, match=f"^{field} must be an? "):
+        ea.GrabcutParams(**{field: value})
+
+
+def test_params_accept_numpy_numbers_as_their_python_equals():
+    image, _, init = helpers.disk_scene()
+    plain = ea.GrabcutParams(components_k=3, iterations=2, erode_radius=1, gamma=10.0, rng_seed=4)
+    numpy_typed = ea.GrabcutParams(
+        components_k=np.int64(3), iterations=np.int32(2), erode_radius=np.uint8(1), gamma=np.float32(10.0),
+        rng_seed=np.int64(4),
+    )
+    want, want_trace = ea.grabcut_refine(image, init, plain)
+    got, got_trace = ea.grabcut_refine(image, init, numpy_typed)
+    assert got.tobytes() == want.tobytes() and got_trace == want_trace
 
 
 # --- identity semantics of the array-holding dataclasses ---

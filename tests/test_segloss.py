@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 import eaparse as ea
-from eaparse.errors import EmptyMask, LabelOutOfRange, MissingGradient, ShapeMismatch
+from eaparse.errors import EmptyMask, InvalidRaster, LabelOutOfRange, MissingGradient, ShapeMismatch
 
 
 def test_uniform_logits_give_log_c():
@@ -191,3 +191,25 @@ def test_loss_result_compares_and_hashes_by_identity():
     assert a == a and a != b and not (a == b)
     assert hash(a) == hash(a) and len({a, b, a}) == 2
     assert a in {a} and b not in {a}
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"lambda_edge": float("nan")},
+        {"lambda_boundary": -1.0},
+        {"lambda_edge": float("inf")},
+        {"lambda_boundary": True},
+        {"lambda_edge": "1"},
+        {"lambda_edge": float("nan"), "lambda_boundary": -1.0},
+    ],
+    ids=["nan", "negative", "inf", "bool", "string", "both"],
+)
+def test_loss_weights_reject_a_weight_that_makes_the_loss_meaningless(weights):
+    with pytest.raises(InvalidRaster, match=f"^{next(iter(weights))} must be a finite number >= 0, got "):
+        ea.LossWeights(**weights)
+
+
+def test_loss_weights_accept_zero_and_numpy_numbers():
+    w = ea.LossWeights(0, np.float32(0.5))
+    assert (w.lambda_edge, w.lambda_boundary) == (0, 0.5)

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidChoice, LabelOutOfRange, ShapeMismatch, TooSmall
-from .tensorio import ensure_label_map, ensure_rgb_image
+from .tensorio import _is_number, ensure_label_map, ensure_rgb_image
 
 
 def _swap_pair(entry) -> tuple[int, int]:
     if (
         not isinstance(entry, (list, tuple, np.ndarray))
         or len(entry) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in entry)
+        or not all(_is_number(v, integer=True) for v in entry)
     ):
         raise LabelOutOfRange(f"swap pair must be two integers, got {entry!r}")
     return int(entry[0]), int(entry[1])
@@ -86,9 +86,10 @@ def rotate_quarter(image, labels, quarters: int):
     """Rotate both rasters clockwise by 90 (quarters=1) or 270 (quarters=3) degrees.
 
     No mirroring is involved, so class ids pass through untouched; the two
-    values are mutual inverses.
+    values are mutual inverses. ``quarters`` is an integer (numpy integers
+    too); anything else, a bool included, raises InvalidChoice.
     """
-    if quarters not in (1, 3):
+    if not _is_number(quarters, integer=True) or quarters not in (1, 3):
         raise InvalidChoice(f"quarters must be 1 or 3, got {quarters!r}")
     img, lab = _check_pair(image, labels)
     return (

@@ -5,8 +5,10 @@ label; pixels on the image border are compared only against neighbors that
 exist, so a constant map has no boundary. Dilation and erosion use a disk
 structuring element: offsets (dr, dc) with dr*dr + dc*dc <= radius*radius.
 Pixels outside the frame count as background (erosion shrinks at the border).
-A radius above h + w acts as h + w: that disk already holds every offset that
-keeps a pixel in an h x w frame and one that moves every pixel out of it.
+A radius is an integer >= 0, numpy integers included; anything else, a bool
+too, raises InvalidRaster naming it. A radius above h + w acts as h + w: that
+disk already holds every offset that keeps a pixel in an h x w frame and one
+that moves every pixel out of it.
 
 The disk is applied by its row runs: row dr of the disk is the segment
 |dc| <= k(dr), with k(dr) = isqrt(r^2 - dr^2) for radius r, so a running
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import InvalidRaster
-from .tensorio import ensure_binary_mask, ensure_label_map
+from .tensorio import _check_number, ensure_binary_mask, ensure_label_map
 
 # radius, in pixels, of the attention band painted around class boundaries
 DEFAULT_EDGE_RADIUS = 2
@@ -51,6 +53,7 @@ def extract_boundary(label_map) -> np.ndarray:
 
 def _disk_rows(radius: int) -> list[int]:
     """k(dr) for dr = 0..radius: the disk's row dr is the run |dc| <= k(dr)."""
+    _check_number("radius", radius, integer=True)
     if radius < 0:
         raise InvalidRaster(f"radius must be >= 0, got {radius}")
     return [math.isqrt(radius * radius - dr * dr) for dr in range(radius + 1)]
@@ -83,6 +86,7 @@ def _fold(dst: np.ndarray, src: np.ndarray, shift: int, axis: int, erode: bool) 
 
 def _disk_morph(m: np.ndarray, radius: int, erode: bool) -> np.ndarray:
     """Disk dilation or erosion of boolean masks stacked along leading axes."""
+    _check_number("radius", radius, integer=True)  # before min, which would compare it
     rows = _disk_rows(min(radius, sum(m.shape[-2:])))
     run = m.copy()  # m folded over |dc| <= k along each row
     out = np.full(m.shape, erode)

@@ -81,6 +81,7 @@ from .segloss import (
     total_loss,
 )
 from .tensorio import (
+    _is_number,
     _label_map_bytes,
     _read_text,
     _rgb_image_bytes,
@@ -114,9 +115,9 @@ DEFAULT_CONFIG = {
 }
 
 
-_KINDS = {  # kind: (test, what a value of that kind must be)
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
+_KINDS = {  # kind: (test, what a value of that kind must be); the library's rule for scalars
+    "int": (lambda v: _is_number(v, integer=True), "an integer"),
+    "float": (_is_number, "a finite number"),
     # a class id: a uint8 label, each counted once
     "list": (
         lambda v: type(v) is list and all(type(x) is int and 0 <= x <= 255 for x in v) and len(set(v)) == len(v),

@@ -338,7 +338,7 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
     members, for ``_GMM_ROUNDS`` rounds or until the assignment repeats (its
     refit would rebuild the same model bit for bit). The pixels are held as
     channel rows and the scores as component rows throughout. Fully
-    deterministic for a fixed seed.
+    deterministic for a fixed seed, an integer >= 0.
     """
     px = np.asarray(pixels, dtype=np.float64)
     if px.shape[-1:] != (3,) or not np.isfinite(px).all():
@@ -346,6 +346,7 @@ def fit_gmm(pixels, k: int, rng_seed) -> ColorGmm:
     x = np.ascontiguousarray(_channels(px))
     n = x.shape[1]
     _check_number("k", k, 1, integer=True)
+    _check_number("rng_seed", rng_seed, 0, integer=True)
     if n < k:
         raise TooFewPixels(f"{n} pixels cannot support {k} mixture components")
 
@@ -384,12 +385,17 @@ class GridGraph:
     ``source_cap``/``sink_cap`` hold the terminal link capacities per node;
     ``edges`` (m, 2) lists undirected neighbor pairs whose shared capacity
     sits in ``edge_cap``. All capacities must be finite and non-negative.
+    Construction takes each field through ``np.asarray``, so lists serve too.
     """
 
     source_cap: np.ndarray
     sink_cap: np.ndarray
     edges: np.ndarray
     edge_cap: np.ndarray
+
+    def __post_init__(self):
+        for name in ("source_cap", "sink_cap", "edges", "edge_cap"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
 
     def validate(self) -> int:
         n = self.source_cap.shape[0]
@@ -752,6 +758,7 @@ def _grabcut(image, init, params: GrabcutParams | None, record_trace: bool):
 
 def _refine_class(labels, image, class_id: int, params: GrabcutParams | None, record_trace: bool):
     """``refine_class`` plus, with ``record_trace``, the energy trace of its refinement."""
+    _check_number("class_id", class_id, integer=True)
     lm = ensure_label_map(labels)
     if not (lm == class_id).any():
         raise ClassAbsent(f"class {class_id} not present in label map")
@@ -768,6 +775,8 @@ def refine_class(labels, image, class_id: int, params: GrabcutParams | None = No
     Pixels the refinement adds take ``class_id``; pixels it removes fall
     back to background (0). Other classes keep their labels unless the
     refined mask claims their pixels. The mask is ``grabcut_refine``'s, found
-    without its energy trace.
+    without its energy trace. ``class_id`` is an integer, numpy integers
+    included, else InvalidRaster; one the map does not hold (any id outside
+    0..255 among them) raises ClassAbsent.
     """
     return _refine_class(labels, image, class_id, params, record_trace=False)[0]

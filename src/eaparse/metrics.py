@@ -14,6 +14,12 @@ label change in either map. Every class boundary lies inside that box, and
 so does every differing neighbor of a pixel in it, so the crop changes no
 boundary pixel and no count. ``region_jaccard`` and ``boundary_f`` are the
 one-class case of the same code.
+
+A class id is an integer (numpy integers too, never a bool); an id outside
+0..255 names no label, so it is absent from every frame and skipped. A
+tolerance is an integer >= 0, or None for ``default_tolerance``. Anything
+else raises InvalidRaster naming the argument (``boundary_f`` checks a
+tolerance's sign only where it reads it).
 """
 
 from __future__ import annotations
@@ -25,15 +31,17 @@ import numpy as np
 
 from .boundary import _disk_morph, _edges
 from .errors import EmptyInput, NoClassEverPresent, ShapeMismatch
-from .tensorio import ensure_label_map
+from .tensorio import _check_number, ensure_label_map
 
 
 def default_tolerance(height: int, width: int) -> int:
     """Boundary match radius scaled to image size: 0.8% of the diagonal.
 
     Rounded half-up and floored at 1 pixel so tiny frames still tolerate
-    one-pixel boundary shifts.
+    one-pixel boundary shifts. Both sizes are integers >= 1.
     """
+    for name, size in (("height", height), ("width", width)):
+        _check_number(name, size, 1, integer=True)
     diag = math.hypot(height, width)
     return max(1, int(math.floor(0.008 * diag + 0.5)))
 
@@ -76,6 +84,7 @@ def _boundary_fs(p: np.ndarray, g: np.ndarray, class_ids, tolerance: int) -> lis
     hit_g = np.zeros_like(n_g)
     both = (n_p > 0) & (n_g > 0)
     if both.any():
+        _check_number("tolerance", tolerance, 0, integer=True)
         bp, bg = bp[both], bg[both]
         hit_p[both] = (bp & _disk_morph(bg, tolerance, erode=False)).sum(axis=(1, 2))
         hit_g[both] = (bg & _disk_morph(bp, tolerance, erode=False)).sum(axis=(1, 2))
@@ -100,6 +109,7 @@ def _boundary_fs(p: np.ndarray, g: np.ndarray, class_ids, tolerance: int) -> lis
 
 def region_jaccard(pred, gt, class_id: int) -> float | None:
     """|pred ∩ gt| / |pred ∪ gt| for one class; None when both are empty."""
+    _check_number("class_id", class_id, integer=True)
     return _jaccards(*_label_pair(pred, gt), [class_id])[0]
 
 
@@ -108,11 +118,16 @@ def boundary_f(pred, gt, class_id: int, tolerance: int | None = None) -> float |
 
     None when neither map has any boundary for the class; 0.0 when exactly
     one side does. Precision counts predicted boundary pixels within the
-    tolerance of some ground-truth boundary pixel, recall the reverse.
+    tolerance of some ground-truth boundary pixel, recall the reverse. The
+    tolerance is read only where both maps have a boundary of the class, and
+    only there does a negative one raise InvalidRaster; ``evaluate_frames``
+    rejects it on entry.
     """
+    _check_number("class_id", class_id, integer=True)
     p, g = _label_pair(pred, gt)
     if tolerance is None:
         tolerance = default_tolerance(*p.shape)
+    _check_number("tolerance", tolerance, integer=True)  # its sign only where it is read
     return _boundary_fs(p, g, [class_id], tolerance)[0]
 
 
@@ -161,7 +176,9 @@ def evaluate_frames(
     happens for every class the dataset carries no signal and
     NoClassEverPresent is raised. Dataset means average the per-class means,
     each class weighted equally, and J&F = (mean_J + mean_F) / 2. The result
-    depends only on the multiset of frames, not their processing order.
+    depends only on the multiset of frames, not their processing order. A
+    tolerance or class id that breaks the rules above raises InvalidRaster
+    before any frame is scored, whatever the frames hold.
     """
     preds = list(preds)
     gts = list(gts)
@@ -169,7 +186,8 @@ def evaluate_frames(
         raise EmptyInput("evaluation needs at least one frame")
     if len(preds) != len(gts):
         raise ShapeMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
-    class_ids = [int(c) for c in class_ids]
+    tolerance = tolerance if tolerance is None else _check_number("tolerance", tolerance, 0, integer=True)
+    class_ids = [int(_check_number(f"class_ids[{i}]", c, integer=True)) for i, c in enumerate(class_ids)]
     if not class_ids:  # nothing to score, and no frame is read
         raise NoClassEverPresent("no requested class appears in any frame")
     j_scores: dict[int, list[float]] = {c: [] for c in class_ids}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBox, OutOfBounds, SizeMismatch
-from .tensorio import ensure_label_map, ensure_rgb_image
+from .tensorio import _is_number, ensure_label_map, ensure_rgb_image
 
 # fraction of box width/height added as margin on each side, total, by default
 DEFAULT_EXPAND_RATIO = 0.2
@@ -22,7 +22,13 @@ DEFAULT_EXPAND_RATIO = 0.2
 
 @dataclass(frozen=True)
 class Box:
-    """Half-open rectangle [x0, x1) x [y0, y1) in pixel coordinates."""
+    """Half-open rectangle [x0, x1) x [y0, y1) in pixel coordinates.
+
+    The coordinates are integers (numpy integers too, never a bool) with
+    x0 < x1 and y0 < y1, else InvalidBox. A box may lie partly or wholly
+    outside a frame: ``crop`` and ``paste`` reject it there with
+    OutOfBounds, and ``expand_box`` clamps it.
+    """
 
     x0: int
     y0: int
@@ -31,7 +37,7 @@ class Box:
 
     def __post_init__(self):
         for v in (self.x0, self.y0, self.x1, self.y1):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not _is_number(v, integer=True):
                 raise InvalidBox(f"box coordinates must be integers, got {v!r}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise InvalidBox(
@@ -54,12 +60,13 @@ def expand_box(box: Box, ratio: float, frame_w: int, frame_h: int) -> Box:
     the low edge, ceil on the high edge), then clamps to
     [0, frame_w) x [0, frame_h). Expanding by 0 returns the box unchanged
     apart from clamping. A side or margin beyond float range raises
-    InvalidBox, as a negative or non-finite ratio does.
+    InvalidBox, as a ratio that is negative, not finite, not a real number
+    or a bool does, and frame sizes that are not integers >= 1.
     """
-    if not math.isfinite(ratio) or ratio < 0:
+    if not _is_number(ratio) or ratio < 0:
         raise InvalidBox(f"expand ratio must be finite and >= 0, got {ratio}")
-    if frame_h < 1 or frame_w < 1:
-        raise InvalidBox("frame must be at least 1 x 1")
+    if not all(_is_number(v, integer=True) and v >= 1 for v in (frame_w, frame_h)):
+        raise InvalidBox(f"frame must be at least 1 x 1 integer pixels, got {frame_w=}, {frame_h=}")
     try:  # a side beyond float range, or a margin that rounds to infinity
         dx = ratio * box.width / 2.0
         dy = ratio * box.height / 2.0

@@ -56,16 +56,23 @@ FPLT_VERSION = 1
 # --- in-memory validators ---
 
 
-def _check_number(name: str, value, low=None, integer: bool = False) -> None:
-    """InvalidRaster naming ``name`` unless ``value`` is an integer (with
-    ``integer``; numpy integers too) or else a real number within float
-    range, in either case not a bool, and at least ``low`` if given."""
-    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite number")
-    valid = isinstance(value, kind) and not isinstance(value, bool)
-    if valid and not integer:  # float() would overflow on a Python int beyond float range
-        valid = abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
-    if not (valid and (low is None or value >= low)):
+def _is_number(value, integer: bool = False) -> bool:
+    """The one rule for a scalar argument: True for an integer (numpy integers
+    too) or, without ``integer``, a real number within float range; never for
+    a bool. Every check of a count or a weight in the package goes through it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        return False
+    # float() would overflow on a Python int beyond float range
+    return integer or (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+
+
+def _check_number(name: str, value, low=None, integer: bool = False):
+    """``value``, or InvalidRaster naming ``name`` unless
+    ``_is_number(value, integer)`` and, if ``low`` is given, ``value >= low``."""
+    if not (_is_number(value, integer) and (low is None or value >= low)):
+        what = "an integer" if integer else "a finite number"
         raise InvalidRaster(f"{name} must be {what}{'' if low is None else f' >= {low}'}, got {value!r}")
+    return value
 
 
 def _as_uint8(a: np.ndarray, kind: str, values: str) -> np.ndarray:

@@ -2543,3 +2543,88 @@ def test_grabcut_energy_trace_is_the_same_on_another_blas_kernel(tmp_path):
         files = [f"{name}{i}.{ext}" for i in range(len(scenes)) for ext in ("pgm", "json")]
         outputs[name] = [(tmp_path / f).read_bytes() for f in files]
     assert outputs["plain"] == outputs["moved"]
+
+
+# --- error branches: config sections, the swaps file, cuthalf, --out-dir, --jobs ---
+
+
+@pytest.mark.parametrize("doc", ['{"grabcut": 1}', '{"loss_weights": []}', '{"grabcut": null}'])
+def test_config_section_that_is_not_an_object_is_named(capsys, tmp_path, doc):
+    config = tmp_path / "c.json"
+    config.write_text(doc)
+    code, out, err = run(capsys, "--config", str(config), "--print-config")
+    key = next(iter(json.loads(doc)))
+    assert (code, out, err) == (2, "", f"error: config.{key} must be an object\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"pairs": [[1, 2]]}', "expected a swap_pairs entry"),
+        ("3", "expected a list or an object"),
+        ('"[[1, 2]]"', "expected a list or an object"),
+    ],
+    ids=["object-without-swap_pairs", "number", "string"],
+)
+def test_augment_swaps_file_of_another_shape_is_named(capsys, tmp_path, doc, message):
+    ea.write_rgb_image(np.zeros((4, 5, 3), dtype=np.uint8), tmp_path / "i.ppm")
+    ea.write_label_map(np.zeros((4, 5), dtype=np.uint8), tmp_path / "l.pgm")
+    swaps = tmp_path / "swaps.json"
+    swaps.write_text(doc)
+    argv = ["augment", "--op", "hflip", "--image", str(tmp_path / "i.ppm"), "--labels", str(tmp_path / "l.pgm")]
+    code, out, err = run(capsys, *argv, "--config", str(swaps), "--out-prefix", str(tmp_path / "o_"))
+    assert (code, out, err) == (2, "", f"error: {swaps}: {message}\n")
+    assert not list(tmp_path.glob("o_*"))
+
+
+@pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
+def test_augment_cuthalf_writes_the_kept_half(capsys, tmp_path, side):
+    rng = np.random.default_rng(31)
+    image = rng.integers(0, 256, (5, 7, 3)).astype(np.uint8)
+    labels = rng.integers(0, 4, (5, 7)).astype(np.uint8)
+    ea.write_rgb_image(image, tmp_path / "i.ppm")
+    ea.write_label_map(labels, tmp_path / "l.pgm")
+    prefix = str(tmp_path / "o_")
+    argv = ["augment", "--op", "cuthalf", "--side", side, "--image", str(tmp_path / "i.ppm")]
+    code, out, err = run(capsys, *argv, "--labels", str(tmp_path / "l.pgm"), "--out-prefix", prefix)
+    assert (code, out, err) == (0, "", "")
+    want_image, want_labels = ea.cut_half(image, labels, side)
+    assert (ea.read_rgb_image(prefix + "image.ppm") == want_image).all()
+    assert (ea.read_label_map(prefix + "labels.pgm") == want_labels).all()
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_pipeline_out_dir_that_cannot_be_made_exits_2_and_writes_nothing(capsys, tmp_path, where):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"keep")
+    out_dir = blocker if where == "a-file" else blocker / "out"
+    before = _tree(tmp_path)
+    code, out, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, out_dir))
+    reason = "File exists" if where == "a-file" else "Not a directory"
+    assert (code, out, err) == (2, "", f"error: cannot write {out_dir}: {reason}\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_jobs_that_is_not_an_integer_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", value, "--print-config"])
+    assert exc.value.code == 2
+    assert f"argument --jobs: expected an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_negative_tolerance_whatever_the_frames_hold(capsys, tmp_path):
+    # no class has a boundary in both maps, so no disk of the tolerance is ever made
+    gt = np.ones((4, 4), dtype=np.uint8)
+    pred = gt.copy()
+    pred[1, 1] = 2
+    for name, lm in (("gt", gt), ("pred", pred)):
+        (tmp_path / name).mkdir()
+        ea.write_label_map(lm, tmp_path / name / "a.pgm")
+    argv = ["eval", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt")]
+    code, out, err = run(capsys, *argv, "--tolerance", "-1", "--out", str(tmp_path / "r.json"))
+    assert (code, out, err) == (2, "", "error: tolerance must be an integer >= 0, got -1\n")
+    assert not (tmp_path / "r.json").exists()
+    code, _, _ = run(capsys, *argv, "--tolerance", "0", "--out", str(tmp_path / "r.json"))
+    assert code == 0 and (tmp_path / "r.json").exists()

@@ -1029,3 +1029,22 @@ def test_array_dataclasses_compare_and_hash_by_identity():
     _assert_identity_semantics(
         lambda: GridGraph(np.ones(2), np.ones(2), np.array([[0, 1]], dtype=np.int64), np.ones(1))
     )
+
+
+def test_graph_validation_names_edges_and_edge_caps_of_the_wrong_shape():
+    with pytest.raises(ShapeMismatch, match=r"edges must be \(m, 2\), got \(2, 3\)"):
+        GridGraph(np.zeros(4), np.zeros(4), np.zeros((2, 3), dtype=int), np.zeros(2)).validate()
+    with pytest.raises(ShapeMismatch, match=r"edges must be \(m, 2\), got \(2,\)"):
+        GridGraph(np.zeros(4), np.zeros(4), np.array([0, 1]), np.zeros(2)).validate()
+    with pytest.raises(ShapeMismatch, match="one capacity per edge required"):
+        GridGraph(np.zeros(2), np.zeros(2), np.array([[0, 1]]), np.ones(2)).validate()
+
+
+def test_max_flow_takes_graph_fields_given_as_lists():
+    flow, side = max_flow(GridGraph([1.0], [1.0], np.zeros((0, 2), int), np.zeros(0)))
+    assert flow == 1.0 and side.tolist() == [0]
+    listed = GridGraph([3.0, 0.0, 1.0], [0.0, 2.0, 1.5], [[0, 1], [1, 2]], [1.0, 0.5])
+    arrays = GridGraph(*(np.array(v) for v in ([3.0, 0.0, 1.0], [0.0, 2.0, 1.5], [[0, 1], [1, 2]], [1.0, 0.5])))
+    got, want = max_flow(listed), max_flow(arrays)
+    assert got[0] == want[0] and got[1].tolist() == want[1].tolist()
+    assert isinstance(listed.edges, np.ndarray) and listed.validate() == 3

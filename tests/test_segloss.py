@@ -213,3 +213,35 @@ def test_loss_weights_reject_a_weight_that_makes_the_loss_meaningless(weights):
 def test_loss_weights_accept_zero_and_numpy_numbers():
     w = ea.LossWeights(0, np.float32(0.5))
     assert (w.lambda_edge, w.lambda_boundary) == (0, 0.5)
+
+
+_CE_LOGITS = np.zeros((3, 4, 4), np.float32)
+_SHAPE_CASES = {
+    "cross-entropy-mask": (
+        lambda: ea.softmax_cross_entropy(_CE_LOGITS, np.zeros((4, 4), np.uint8), np.ones((4, 5), np.uint8)),
+        r"mask shape \(4, 5\) != labels shape \(4, 4\)",
+    ),
+    "boundary-logits-1d": (
+        lambda: ea.boundary_bce(np.zeros(16, np.float32), np.zeros((4, 4), np.uint8)),
+        r"boundary logits must be \(1, H, W\) or \(H, W\), got \(16,\)",
+    ),
+    "boundary-target": (
+        lambda: ea.boundary_bce(np.zeros((4, 4), np.float32), np.zeros((4, 5), np.uint8)),
+        r"target shape \(4, 5\) != logits shape \(4, 4\)",
+    ),
+    "total-gradients": (
+        lambda: ea.total_loss(
+            ea.LossResult(0.0, 16, np.zeros((3, 4, 4))),
+            ea.LossResult(0.0, 16, np.zeros((3, 4, 5))),
+            ea.LossResult(0.0, 16, np.zeros((4, 4))),
+        ),
+        r"gradient shapes differ: \(3, 4, 4\) vs \(3, 4, 5\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _SHAPE_CASES.values(), ids=_SHAPE_CASES.keys())
+def test_losses_name_shapes_that_disagree(case):
+    call, message = case
+    with pytest.raises(ShapeMismatch, match=message):
+        call()

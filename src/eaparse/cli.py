@@ -2,22 +2,27 @@
 
 Global flags (given before the subcommand): ``--config c.json`` merges a
 JSON document over the built-in defaults, ``--seed S`` overrides the config
-seed, ``--jobs N`` runs pipeline frames in up to N worker processes, and
-``--print-config`` prints the effective configuration as JSON and exits.
-This process is one of the workers; the others are children started by
-``os.fork``, so there is at most one process per frame. Each child sends one
-record per frame as soon as it has it. One walk over the frames in order
-runs this process's frames and reads each child's records as it reaches
-them, so the output bytes are the same for any N, and so is the error of a
-failing run: the earliest failing frame's, met within about one frame of the
-walk reaching it. However a run fails (a frame, a worker that dies, a fork),
-it kills every child it has not yet reaped, and it reaps every child on
-every path. Every frame's label map and ground truth stay in this process
-until the report and the PGMs are made. Where ``os.fork`` does not exist,
-frames run one by one in this process. A subcommand flag that shadows a
-config key has the key's dotted path as its dest (``--gamma``:
-``grabcut.gamma``); the flags given are merged over the config as the config
-is merged over the defaults, so handlers read every setting from ``cfg``.
+seed, ``--jobs N`` runs the frames of ``pipeline`` and ``eval`` in up to N
+worker processes, and ``--print-config`` prints the effective configuration
+as JSON and exits. Both commands build one task per frame, run them through
+``_run_frames``, build the report from the frames' records and write every
+file at the end. This process is one of the workers; the others are
+children started by ``os.fork``, so there is at most one process per frame.
+Each child sends one record per frame as soon as it has it. One walk over
+the frames in order runs this process's frames and reads each child's
+records as it reaches them, so the output bytes are the same for any N, and
+so is the error of a failing run: the earliest failing frame's, met within
+about one frame of the walk reaching it. However a run fails (a frame, a
+worker that dies, a fork), it kills every child it has not yet reaped, and
+it reaps every child on every path. A record holds the frame's J and F per
+class and the classes its ground truth holds, and in ``pipeline`` the
+frame's PGM bytes, which stay in this process until every file is written.
+Where ``os.fork`` does not exist, frames run one by one in this process.
+
+A subcommand flag that shadows a config key has the key's dotted path as
+its dest (``--gamma``: ``grabcut.gamma``); the flags given are merged over
+the config as the config is merged over the defaults, so handlers read every
+setting from ``cfg``.
 
 Exit codes, returned by ``main`` alone: 0 on success, 2 on malformed input
 of any kind (a ``ToolkitError``: bad files, bad flags, unknown config keys),
@@ -70,7 +75,7 @@ from .boundary import DEFAULT_EDGE_RADIUS, edge_attention_mask, extract_boundary
 from .ensemble import _first_max, ensemble_argmax, ensemble_probabilities
 from .errors import IoFailure, ShapeMismatch, ToolkitError
 from .grabcut import GrabcutParams, _refine_class, refine_class
-from .metrics import evaluate_frames
+from .metrics import _frame_scores, _report
 from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
 from .segloss import (
     LossResult,
@@ -81,6 +86,7 @@ from .segloss import (
     total_loss,
 )
 from .tensorio import (
+    _check_number,
     _is_number,
     _label_map_bytes,
     _read_text,
@@ -329,17 +335,11 @@ def _list_frames(directory, suffix: str) -> list[str]:
     return names
 
 
-def _report_json(cfg, preds, gts) -> bytes:
-    """The J/F report of ``preds`` against ``gts`` as sorted-key JSON bytes, scoring the
-    config's ``classes``, else every non-zero ground-truth class."""
-    class_ids = cfg["classes"]
-    if class_ids is None:
-        # ground truths are uint8; np.unique would import numpy.ma (~17 ms)
-        present = np.zeros(256, dtype=bool)
-        for g in gts:
-            present |= np.bincount(g.reshape(-1), minlength=256) > 0
-        class_ids = (np.flatnonzero(present[1:]) + 1).tolist()
-    report = evaluate_frames(preds, gts, class_ids, cfg["metric_tolerance"])
+def _report_json(cfg, records) -> bytes:
+    """The J/F report of the frames' ``_frame_scores`` records, in frame order, as
+    sorted-key JSON bytes, on the config's ``classes``, else every non-zero
+    ground-truth class."""
+    report = _report(records, cfg["classes"])
     return (json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -351,11 +351,20 @@ def _read_ground_truth(path, shape: tuple) -> np.ndarray:
     return gt
 
 
+def _eval_frame(task):
+    """One frame of ``eval``: the ``_frame_scores`` record of its prediction
+    against its ground truth."""
+    cfg, pred_path, gt_path = task
+    pred = read_label_map(pred_path)
+    gt = _read_ground_truth(gt_path, pred.shape)
+    return _frame_scores(pred, gt, cfg["classes"], cfg["metric_tolerance"])
+
+
 def _cmd_eval(cfg, args):
-    names = _list_frames(args.pred_dir, ".pgm")
-    preds = [read_label_map(Path(args.pred_dir) / n) for n in names]
-    gts = [_read_ground_truth(Path(args.gt_dir) / n, p.shape) for n, p in zip(names, preds)]
-    _write_files([(args.out, _report_json(cfg, preds, gts))])
+    # before any frame: the config holds an integer or None, and None stands for 0 here
+    _check_number("tolerance", cfg["metric_tolerance"] or 0, 0, integer=True)
+    tasks = [(cfg, Path(args.pred_dir) / n, Path(args.gt_dir) / n) for n in _list_frames(args.pred_dir, ".pgm")]
+    _write_files([(args.out, _report_json(cfg, _run_frames(_eval_frame, tasks, args.jobs)))])
 
 
 def _cmd_roi(cfg, args):
@@ -392,7 +401,9 @@ def _frame_seed(base_seed: int, frame_index: int) -> int:
 
 
 def _pipeline_frame(task):
-    """One frame of ``pipeline``: its label map and its ground truth."""
+    """One frame of ``pipeline``: its label map's PGM bytes, and the
+    ``_frame_scores`` record of that map against its ground truth. Nothing
+    else of the frame outlives the call."""
     cfg, args, idx, stem, boxes = task
     try:
         image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
@@ -430,14 +441,15 @@ def _pipeline_frame(task):
         for class_id in refine_ids:
             if (canvas == class_id).any():
                 canvas = refine_class(canvas, image, class_id, params)
-        return canvas, gt
+        scores = _frame_scores(canvas, gt, cfg["classes"], cfg["metric_tolerance"])
+        return _label_map_bytes(canvas), scores
     except ToolkitError as exc:
         raise type(exc)(f"frame {stem}: {exc}") from exc
 
 
-def _fork_worker(tasks) -> tuple[int, io.BufferedReader]:
-    """Fork a worker that runs ``tasks`` in order and pickles one record per
-    frame into a pipe as soon as it has it: the frame's result, or its
+def _fork_worker(frame, tasks) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that runs ``frame`` on ``tasks`` in order and pickles one
+    record per frame into a pipe as soon as it has it: the frame's result, or its
     ``ToolkitError``, after which the worker stops. Returns its pid and a
     buffered reader of the pipe's read end. The worker leaves through
     ``os._exit``: 0 once its last record is written, 1 with a traceback on
@@ -456,7 +468,7 @@ def _fork_worker(tasks) -> tuple[int, io.BufferedReader]:
             with open(write_end, "wb") as pipe:
                 try:
                     for task in tasks:
-                        pickle.dump(_pipeline_frame(task), pipe, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(frame(task), pipe, pickle.HIGHEST_PROTOCOL)
                         pipe.flush()
                 except ToolkitError as exc:  # the last record: closing the pipe sends it
                     pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
@@ -470,11 +482,15 @@ def _fork_worker(tasks) -> tuple[int, io.BufferedReader]:
     return pid, open(read_end, "rb")
 
 
-def _run_frames(tasks, jobs: int) -> list:
-    """Every frame's result, in frame order, from ``jobs`` workers.
+def _run_frames(frame, tasks, jobs) -> list:
+    """``frame(task)`` of every task, in task order, from ``jobs`` workers.
 
-    Frame i runs in worker i % jobs. This process is worker 0; the others
-    are forked children, each sending one record per frame as it makes it,
+    ``pipeline`` and ``eval`` both run their frames here, under one rule:
+    ``jobs`` is the ``--jobs`` value, or the CPU count when it is None, and
+    there is at most one worker per frame. Frame i runs in worker i % jobs.
+    A result is the record its frame function returns, which holds only what
+    the run keeps of the frame. This process is worker 0; the others are
+    forked children, each sending one record per frame as it makes it,
     up to its first failure. One walk takes the frames in order: it runs
     frame i itself when i % jobs is 0, and otherwise loads the next record
     of child i % jobs from a buffered reader of its pipe, waiting for it if
@@ -486,15 +502,15 @@ def _run_frames(tasks, jobs: int) -> list:
     killed, and every child is reaped. Without ``os.fork``, this process is
     the one worker and runs every frame in turn.
     """
-    jobs = jobs if hasattr(os, "fork") else 1
+    jobs = min(jobs or os.cpu_count() or 1, len(tasks)) if hasattr(os, "fork") else 1
     children = {}  # worker -> (pid, buffered reader of its pipe), until reaped
     try:
         for worker in range(1, jobs):
-            children[worker] = _fork_worker(tasks[worker::jobs])
+            children[worker] = _fork_worker(frame, tasks[worker::jobs])
         results = []
         for i, task in enumerate(tasks):
             if i % jobs == 0:
-                results.append(_pipeline_frame(task))
+                results.append(frame(task))
                 continue
             pid, pipe = children[i % jobs]
             try:
@@ -520,6 +536,7 @@ def _run_frames(tasks, jobs: int) -> list:
 
 def _cmd_pipeline(cfg, args):
     _grabcut_params(cfg, cfg["rng_seed"])  # checks the settings even if no frame refines
+    _check_number("tolerance", cfg["metric_tolerance"] or 0, 0, integer=True)  # as in eval
     stems = [Path(n).stem for n in _list_frames(args.images, ".ppm")]
     all_boxes = _read_boxes_jsonl(args.boxes)
     for stem in stems:
@@ -527,10 +544,8 @@ def _cmd_pipeline(cfg, args):
             raise ToolkitError(f"{args.boxes}: no box for frame {stem!r}")
 
     tasks = [(cfg, args, idx, stem, all_boxes[stem]) for idx, stem in enumerate(stems)]
-    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
-    preds, gts = (list(column) for column in zip(*_run_frames(tasks, jobs)))
-    payload = _report_json(cfg, preds, gts)
-    del gts  # the report is all that is kept of them
+    pgms, records = zip(*_run_frames(_pipeline_frame, tasks, args.jobs))
+    payload = _report_json(cfg, records)
 
     # all computation succeeded; only now touch the disk
     out_dir = Path(args.out_dir)
@@ -538,8 +553,7 @@ def _cmd_pipeline(cfg, args):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write {out_dir}: {exc.strerror}") from exc
-    # popped: each label map is dropped once its PGM is encoded
-    outputs = [(out_dir / f"{stem}.pgm", _label_map_bytes(preds.pop(0))) for stem in stems]
+    outputs = [(out_dir / f"{stem}.pgm", pgm) for stem, pgm in zip(stems, pgms)]
     _write_files(outputs + [(out_dir / "report.json", payload)])
 
 
@@ -604,8 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
-        help="pipeline worker processes, >= 1: this one and forked children, at most "
-        "one per frame; output bytes are the same for any value (default: CPU count)",
+        help="worker processes for the frames of pipeline and eval, >= 1: this one and forked "
+        "children, at most one per frame; output bytes are the same for any value (default: CPU count)",
     )
     parser.add_argument(
         "--print-config",

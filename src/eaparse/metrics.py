@@ -7,12 +7,17 @@ radius. Frames where a class appears in neither map are skipped, not scored:
 scoring an absent class as perfect would inflate averages, scoring it as
 zero would punish correct rejections.
 
-Scoring takes one pass per frame for all classes at once: J comes from one
-confusion count of (prediction, ground truth) label pairs, and F from a
-stack of per-class masks of each map, cropped to the bounding box of every
-label change in either map. Every class boundary lies inside that box, and
-so does every differing neighbor of a pixel in it, so the crop changes no
-boundary pixel and no count. ``region_jaccard`` and ``boundary_f`` are the
+Scoring takes one pass per frame for all classes at once, and reduces the
+frame to a small record (``_frame_scores``): the non-zero classes its ground
+truth holds, and J and F per class. J comes from one confusion count of
+(prediction, ground truth) label pairs, and F from a stack of per-class
+masks of each map, cropped to the bounding box of every label change in
+either map. Every class boundary lies inside that box, and so does every
+differing neighbor of a pixel in it, so the crop changes no boundary pixel
+and no count. ``_report`` aggregates the records in frame order, and
+``evaluate_frames`` is the two composed. The CLI's ``eval`` and ``pipeline``
+score each frame as it runs and aggregate once at the end, so no frame's
+maps are kept for the report. ``region_jaccard`` and ``boundary_f`` are the
 one-class case of the same code.
 
 A class id is an integer (numpy integers too, never a bool); an id outside
@@ -54,9 +59,13 @@ def _label_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     return p, g
 
 
-def _jaccards(p: np.ndarray, g: np.ndarray, class_ids) -> list[float | None]:
-    """J of each class of one frame, from one confusion count; None when absent."""
-    conf = np.bincount((p.astype(np.intp) << 8 | g).ravel(), minlength=65536).reshape(256, 256)
+def _confusion(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pixel count of each (prediction, ground truth) label pair of one frame."""
+    return np.bincount((p.astype(np.intp) << 8 | g).ravel(), minlength=65536).reshape(256, 256)
+
+
+def _jaccards(conf: np.ndarray, class_ids) -> list[float | None]:
+    """J of each class of one frame, from its confusion count; None when absent."""
     inter = conf.diagonal().tolist()
     union = (conf.sum(axis=1) + conf.sum(axis=0)).tolist()
     out = []
@@ -110,7 +119,7 @@ def _boundary_fs(p: np.ndarray, g: np.ndarray, class_ids, tolerance: int) -> lis
 def region_jaccard(pred, gt, class_id: int) -> float | None:
     """|pred ∩ gt| / |pred ∪ gt| for one class; None when both are empty."""
     _check_number("class_id", class_id, integer=True)
-    return _jaccards(*_label_pair(pred, gt), [class_id])[0]
+    return _jaccards(_confusion(*_label_pair(pred, gt)), [class_id])[0]
 
 
 def boundary_f(pred, gt, class_id: int, tolerance: int | None = None) -> float | None:
@@ -129,6 +138,21 @@ def boundary_f(pred, gt, class_id: int, tolerance: int | None = None) -> float |
         tolerance = default_tolerance(*p.shape)
     _check_number("tolerance", tolerance, integer=True)  # its sign only where it is read
     return _boundary_fs(p, g, [class_id], tolerance)[0]
+
+
+def _frame_scores(pred, gt, class_ids, tolerance):
+    """One frame's record: the non-zero classes its ground truth holds, and
+    (class, J, F) for each class of ``class_ids`` or, for None, of every
+    non-zero class either map holds; J and F are None where skipped. Callers
+    check the tolerance first, by ``evaluate_frames``'s rule."""
+    p, g = _label_pair(pred, gt)
+    conf = _confusion(p, g)
+    in_gt = conf.sum(axis=0)[1:] > 0
+    if class_ids is None:
+        class_ids = (np.flatnonzero(in_gt | (conf.sum(axis=1)[1:] > 0)) + 1).tolist()
+    tol = default_tolerance(*p.shape) if tolerance is None else tolerance
+    scores = zip(class_ids, _jaccards(conf, class_ids), _boundary_fs(p, g, class_ids, tol))
+    return (np.flatnonzero(in_gt) + 1).tolist(), list(scores)
 
 
 @dataclass
@@ -190,17 +214,22 @@ def evaluate_frames(
     class_ids = [int(_check_number(f"class_ids[{i}]", c, integer=True)) for i, c in enumerate(class_ids)]
     if not class_ids:  # nothing to score, and no frame is read
         raise NoClassEverPresent("no requested class appears in any frame")
+    return _report((_frame_scores(p, g, class_ids, tolerance) for p, g in zip(preds, gts)), class_ids)
+
+
+def _report(records, class_ids) -> EvalReport:
+    """The report of ``_frame_scores`` records, in frame order, on ``class_ids``
+    or, for None, on every non-zero class that some ground truth holds."""
+    records = list(records)
+    if class_ids is None:
+        class_ids = sorted(set().union(*(held for held, _ in records)))
     j_scores: dict[int, list[float]] = {c: [] for c in class_ids}
     f_scores: dict[int, list[float]] = {c: [] for c in class_ids}
-    for pred, gt in zip(preds, gts):
-        p, g = _label_pair(pred, gt)
-        tol = default_tolerance(*p.shape) if tolerance is None else tolerance
-        js = _jaccards(p, g, class_ids)
-        fs = _boundary_fs(p, g, class_ids, tol)
-        for c, j, f in zip(class_ids, js, fs):
-            if j is not None:
+    for _, scores in records:
+        for c, j, f in scores:  # a class only a prediction holds is in neither dict
+            if j is not None and c in j_scores:
                 j_scores[c].append(j)
-            if f is not None:
+            if f is not None and c in f_scores:
                 f_scores[c].append(f)
 
     report = EvalReport()

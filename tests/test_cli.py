@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 
 import helpers
 import eaparse as ea
-from eaparse import cli, grabcut
+from eaparse import cli, grabcut, metrics
 from eaparse.cli import main
 from eaparse.tensorio import _label_map_bytes
 
@@ -812,6 +813,13 @@ def _ground_truths(rng) -> list:
     return gts
 
 
+def _scored_report_json(cfg, preds, gts) -> bytes:
+    """``cli._report_json`` of the frames' records, each scored as a frame of
+    ``eval`` or ``pipeline`` scores it under ``cfg``."""
+    records = [metrics._frame_scores(p, g, cfg["classes"], cfg["metric_tolerance"]) for p, g in zip(preds, gts)]
+    return cli._report_json(cfg, records)
+
+
 def test_default_classes_are_the_nonzero_ground_truth_classes():
     rng = np.random.default_rng(16)
     cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
@@ -819,15 +827,15 @@ def test_default_classes_are_the_nonzero_ground_truth_classes():
         gts = _ground_truths(rng)
         preds = [rng.integers(0, 256, g.shape, dtype=np.uint8) for g in gts]
         want = sorted(set(np.unique(np.concatenate([g.ravel() for g in gts])).tolist()) - {0})
-        payload = cli._report_json(cfg, preds, gts)
+        payload = _scored_report_json(cfg, preds, gts)
         assert sorted(map(int, json.loads(payload)["per_class"])) == want
-        assert payload == cli._report_json({**cfg, "classes": want}, preds, gts)
+        assert payload == _scored_report_json({**cfg, "classes": want}, preds, gts)
 
 
 def test_default_classes_of_all_zero_ground_truths_are_none():
     gts = [np.zeros((3, 4), dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8)]
     with pytest.raises(ea.NoClassEverPresent):
-        cli._report_json(copy.deepcopy(cli.DEFAULT_CONFIG), gts, gts)
+        _scored_report_json(copy.deepcopy(cli.DEFAULT_CONFIG), gts, gts)
 
 
 def _eval_dirs(tmp_path):
@@ -1686,6 +1694,94 @@ def test_pipeline_names_a_member_in_a_directory_it_cannot_search(capsys, tmp_pat
     assert code == 2 and out == ""
     assert err.startswith(f"error: frame 000: cannot read {paths['degraded'] / '000__0.fplt'}: "), err
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_rejects_a_negative_tolerance_before_any_frame(capsys, tmp_path, monkeypatch):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=6)
+    frame, calls = cli._pipeline_frame, []
+
+    def counting(task):
+        calls.append(task[2])
+        return frame(task)
+
+    monkeypatch.setattr(cli, "_pipeline_frame", counting)
+    argv = ["--jobs", "1", *_pipeline_argv(paths, tmp_path / "out"), "--tolerance", "-1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: tolerance must be an integer >= 0, got -1\n")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def _counting_forks(monkeypatch) -> list:
+    """Make ``os.fork`` append to the returned list in this process at each call."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(1)  # a child's copy of the list is its own
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="eval runs its frames in forked workers")
+def test_eval_runs_through_the_frame_walk_with_the_same_report_for_any_jobs(capsys, tmp_path, monkeypatch):
+    # eval scores a pipeline's PGMs as the pipeline scored its label maps
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=5)
+    code, _, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, tmp_path / "out"))
+    assert code == 0, err
+    want = (tmp_path / "out" / "report.json").read_bytes()
+    forks = _counting_forks(monkeypatch)
+    for jobs in (1, 2, 3):
+        report = tmp_path / f"report{jobs}.json"
+        argv = ["--jobs", str(jobs), "eval", "--pred-dir", str(tmp_path / "out"), "--gt-dir", str(paths["gt"])]
+        code, _, err = run(capsys, *argv, "--out", str(report))
+        assert code == 0, err
+        assert report.read_bytes() == want
+        assert len(forks) == jobs - 1
+        forks.clear()
+        assert _no_child_left()
+
+
+def test_eval_names_the_earliest_frame_error_for_any_jobs(capsys, tmp_path):
+    # frame 0's ground truth and frame 1's prediction are both cut short;
+    # every --jobs reads frame 0's pair before it meets frame 1's
+    labels = np.zeros((8, 8), dtype=np.uint8)
+    labels[2:6, 2:6] = 1
+    for name in ("p", "g"):
+        (tmp_path / name).mkdir()
+        for i in range(4):
+            ea.write_label_map(labels, tmp_path / name / f"f{i:03d}.pgm")
+    for bad in (tmp_path / "g" / "f000.pgm", tmp_path / "p" / "f001.pgm"):
+        bad.write_bytes(bad.read_bytes()[:-5])
+    argv = ["eval", "--pred-dir", str(tmp_path / "p"), "--gt-dir", str(tmp_path / "g")]
+    for jobs in ("1", "2", "3"):
+        code, out, err = run(capsys, "--jobs", jobs, *argv, "--out", str(tmp_path / "r.json"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tmp_path / 'g' / 'f000.pgm'}: "), err
+        assert not (tmp_path / "r.json").exists()
+        assert _no_child_left()
+
+
+def _peak_traced_bytes(argv) -> int:
+    """The tracemalloc peak of one in-process ``main(argv)``; numpy reports its
+    array buffers to tracemalloc, so they count."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pipeline_keeps_about_one_pgm_per_frame_until_it_writes(tmp_path):
+    # from N to 4N frames the peak grows by what the walk keeps of each frame:
+    # its h x w PGM and a few scores, not its label map and ground truth as well
+    n, size = 4, 128
+    argvs = {count: _write_wide_clip(tmp_path / f"clip{count}", count, size) for count in (n, 4 * n)}
+    _peak_traced_bytes(argvs[n])  # imports and first-call caches
+    growth = _peak_traced_bytes(argvs[4 * n]) - _peak_traced_bytes(argvs[n])
+    assert growth <= 1.25 * 3 * n * size * size, f"{growth / (3 * n * size * size):.2f} x h x w per frame"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

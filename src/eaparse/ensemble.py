@@ -15,12 +15,10 @@ are the same bytes.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import ChannelMismatch, EmptyInput, InvalidRaster
-from .tensorio import ensure_logits
+from .tensorio import _check_number, ensure_logits
 
 
 def _softmax(lg: np.ndarray) -> np.ndarray:
@@ -57,10 +55,9 @@ def resize_bilinear(tensor, out_height: int, out_width: int) -> np.ndarray:
     if a.ndim != 3:
         raise InvalidRaster(f"expected a (C, H, W) tensor, got shape {a.shape}")
     h, w = a.shape[1:]
-    # integer sizes only (TypeError otherwise): np.arange(6.5) would give 7 rows
-    out_height, out_width = operator.index(out_height), operator.index(out_width)
-    if out_height < 1 or out_width < 1:
-        raise InvalidRaster("output size must be at least 1 x 1")
+    # integer sizes only: np.arange(6.5) would give 7 rows
+    for name, size in (("out_height", out_height), ("out_width", out_width)):
+        _check_number(name, size, 1, integer=True)
     if (h, w) == (out_height, out_width):
         return a.copy()
 
@@ -114,9 +111,11 @@ def ensemble_probabilities(
     for t in tensors[1:]:
         if t.shape[0] != c:
             raise ChannelMismatch(f"members disagree on classes: {c} vs {t.shape[0]}")
-    # integer sizes only (TypeError otherwise): 6.0 would pass the grid test below
-    oh = operator.index(out_height if out_height is not None else tensors[0].shape[1])
-    ow = operator.index(out_width if out_width is not None else tensors[0].shape[2])
+    oh = out_height if out_height is not None else tensors[0].shape[1]
+    ow = out_width if out_width is not None else tensors[0].shape[2]
+    # integer sizes only: 6.0 would pass the grid test below
+    for name, size in (("out_height", oh), ("out_width", ow)):
+        _check_number(name, size, 1, integer=True)
 
     acc = None
     for t in tensors:

@@ -8,11 +8,7 @@ That includes every scalar argument of the library. A count is an integer
 within float range; a bool is neither. One predicate holds that rule,
 ``tensorio._is_number``, and the executable's config checks call it as well.
 A scalar that breaks the rule, or its range, raises a ToolkitError whose
-message names it. The one exception is an ensemble size (``out_height`` and
-``out_width`` of ``resize_bilinear``, ``ensemble_probabilities`` and
-``ensemble_argmax``): it goes through ``operator.index``, as a Python index
-does, so a non-integer raises TypeError and a bool reads as 0 or 1; a size
-below 1 is still InvalidRaster.
+message names it.
 """
 
 

@@ -26,7 +26,6 @@ none is promised not to.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -427,7 +426,11 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
     a terminal link's reverse starts at 0, a neighbor edge carries its
     capacity both ways. A stable sort by tail groups the arcs per node while
     keeping each node's arcs in that order, so the search visits arcs in a
-    fixed order and its flow and cut are deterministic. Returns the flow
+    fixed order and its flow and cut are deterministic. Each phase walks
+    from s along per-node arc pointers; after an augmentation the walk
+    restarts from s, and since each path node's pointer still rests on its
+    path arc, it stops at the first saturated arc: the same arcs in the same
+    order as a walk that retreats there. Returns the flow
     value and a uint8 vector with 1 for nodes on the source side of the cut:
     those reachable from s in the final residual network, as marked by the
     last level search (the one that finds t unreachable and ends the phases).
@@ -454,9 +457,8 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
         # BFS: level graph on positive residuals
         level = [-1] * (n + 2)
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        queue = [s]
+        for u in queue:  # first in, first out: the loop reads the list as it grows
             for a in range(start[u], start[u + 1]):
                 if cap[a] > 0.0 and level[to[a]] < 0:
                     level[to[a]] = level[u] + 1
@@ -472,32 +474,23 @@ def max_flow(graph: GridGraph) -> tuple[float, np.ndarray]:
             if u == t:
                 bottleneck = min(cap[a] for a in path)
                 flow += bottleneck
-                retreat = len(path)
-                for i, a in enumerate(path):
+                for a in path:
                     cap[a] -= bottleneck
                     cap[rev[a]] += bottleneck
-                    if cap[a] == 0.0 and i < retreat:
-                        retreat = i  # resume from the first saturated arc
-                path = path[:retreat]
-                u = s if not path else to[path[-1]]
+                path, u = [], s  # the pointers lead back to the first saturated arc
                 continue
-            advanced = False
-            while ptr[u] < start[u + 1]:
-                a = ptr[u]
+            for a in range(ptr[u], start[u + 1]):
                 if cap[a] > 0.0 and level[to[a]] == level[u] + 1:
+                    ptr[u] = a
                     path.append(a)
                     u = to[a]
-                    advanced = True
                     break
+            else:
+                level[u] = -1  # dead end for this phase
+                if u == s:
+                    break
+                u = to[rev[path.pop()]]
                 ptr[u] += 1
-            if advanced:
-                continue
-            level[u] = -1  # dead end for this phase
-            if u == s:
-                break
-            last = path.pop()
-            u = to[rev[last]]
-            ptr[u] += 1
 
 
 def _reduced_cut(graph: GridGraph, table: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:

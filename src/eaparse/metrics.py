@@ -23,8 +23,9 @@ one-class case of the same code.
 A class id is an integer (numpy integers too, never a bool); an id outside
 0..255 names no label, so it is absent from every frame and skipped. A
 tolerance is an integer >= 0, or None for ``default_tolerance``. Anything
-else raises InvalidRaster naming the argument (``boundary_f`` checks a
-tolerance's sign only where it reads it).
+else raises InvalidRaster naming the argument, whatever the frames hold.
+``evaluate_frames`` takes None for its class ids, as the CLI's ``eval``
+does: every non-zero class that some ground truth holds.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ def _boundary_fs(p: np.ndarray, g: np.ndarray, class_ids, tolerance: int) -> lis
     hit_g = np.zeros_like(n_g)
     both = (n_p > 0) & (n_g > 0)
     if both.any():
-        _check_number("tolerance", tolerance, 0, integer=True)
         bp, bg = bp[both], bg[both]
         hit_p[both] = (bp & _disk_morph(bg, tolerance, erode=False)).sum(axis=(1, 2))
         hit_g[both] = (bg & _disk_morph(bp, tolerance, erode=False)).sum(axis=(1, 2))
@@ -127,16 +127,13 @@ def boundary_f(pred, gt, class_id: int, tolerance: int | None = None) -> float |
 
     None when neither map has any boundary for the class; 0.0 when exactly
     one side does. Precision counts predicted boundary pixels within the
-    tolerance of some ground-truth boundary pixel, recall the reverse. The
-    tolerance is read only where both maps have a boundary of the class, and
-    only there does a negative one raise InvalidRaster; ``evaluate_frames``
-    rejects it on entry.
+    tolerance of some ground-truth boundary pixel, recall the reverse.
     """
     _check_number("class_id", class_id, integer=True)
     p, g = _label_pair(pred, gt)
     if tolerance is None:
         tolerance = default_tolerance(*p.shape)
-    _check_number("tolerance", tolerance, integer=True)  # its sign only where it is read
+    _check_number("tolerance", tolerance, 0, integer=True)
     return _boundary_fs(p, g, [class_id], tolerance)[0]
 
 
@@ -200,9 +197,10 @@ def evaluate_frames(
     happens for every class the dataset carries no signal and
     NoClassEverPresent is raised. Dataset means average the per-class means,
     each class weighted equally, and J&F = (mean_J + mean_F) / 2. The result
-    depends only on the multiset of frames, not their processing order. A
-    tolerance or class id that breaks the rules above raises InvalidRaster
-    before any frame is scored, whatever the frames hold.
+    depends only on the multiset of frames, not their processing order.
+    ``class_ids`` None scores every non-zero class that some ground truth
+    holds. A tolerance or class id that breaks the rules above raises
+    InvalidRaster before any frame is scored, whatever the frames hold.
     """
     preds = list(preds)
     gts = list(gts)
@@ -211,9 +209,10 @@ def evaluate_frames(
     if len(preds) != len(gts):
         raise ShapeMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
     tolerance = tolerance if tolerance is None else _check_number("tolerance", tolerance, 0, integer=True)
-    class_ids = [int(_check_number(f"class_ids[{i}]", c, integer=True)) for i, c in enumerate(class_ids)]
-    if not class_ids:  # nothing to score, and no frame is read
-        raise NoClassEverPresent("no requested class appears in any frame")
+    if class_ids is not None:
+        class_ids = [int(_check_number(f"class_ids[{i}]", c, integer=True)) for i, c in enumerate(class_ids)]
+        if not class_ids:  # nothing to score, and no frame is read
+            raise NoClassEverPresent("no requested class appears in any frame")
     return _report((_frame_scores(p, g, class_ids, tolerance) for p, g in zip(preds, gts)), class_ids)
 
 

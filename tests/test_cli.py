@@ -1518,9 +1518,10 @@ def test_pipeline_worker_that_dies_without_a_result_is_an_internal_error(capsys,
 
 def test_pipeline_worker_that_dies_stops_the_other_workers(tmp_path):
     # a fresh interpreter, whose stderr holds what the children print; the second
-    # child's one 192 x 192 frame pickles to more than a 64 KiB pipe buffer, so
-    # a child left running would block on its write until its pipe is closed
-    argv = _write_wide_clip(tmp_path / "clip", n_frames=3, size=192)
+    # child's record of its one 256 x 256 frame (a 65,536-byte PGM payload plus
+    # its header and scores) is more than a 64 KiB pipe buffer, so a child left
+    # running would block on its write until its pipe is closed
+    argv = _write_wide_clip(tmp_path / "clip", n_frames=3, size=256)
     argv[argv.index("--jobs") + 1] = "3"
     script = (
         "import json, os, sys; from eaparse import cli; parent = os.getpid(); frame = cli._pipeline_frame\n"

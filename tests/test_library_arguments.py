@@ -7,9 +7,7 @@ The harness replaces one parameter at a time with a string, None, a bool, a
 float where a count or a choice is wanted, NaN, infinity and a value outside
 the parameter's range. Each call must raise a ``ToolkitError`` whose message
 holds the parameter's name, or be accepted with the meaning that the
-callable's docstring gives that value (listed with the parameter). Ensemble
-sizes are the one stated exception: they go through ``operator.index``, so a
-non-integer raises ``TypeError``, as ``errors.py`` says.
+callable's docstring gives that value (listed with the parameter).
 
 ``EXEMPT`` lists every other public callable with the reason it has no
 entry: it takes arrays, paths or parameter objects only (out of scope here),
@@ -36,7 +34,6 @@ class Scalar:
     name: str  # what the callable's messages call it
     beyond: object = _NO_RANGE  # a value of its kind outside its range
     accepted: tuple = ()  # the bad-value keys its docstring gives a meaning
-    error: type = ea.ToolkitError
     as_list: bool = False  # the parameter is a list of such scalars
 
 
@@ -65,9 +62,6 @@ _IMAGE = np.stack([_MASK * 200, _LABELS * 50, np.full((8, 8), 30, np.uint8)], ax
 _LOGITS = np.random.default_rng(0).normal(size=(3, 8, 8)).astype(np.float32)
 _PIXELS = np.random.default_rng(1).uniform(0, 255, (40, 3))
 _RADIUS = count("radius", -1)
-# ensemble sizes: operator.index, the stated exception (errors.py); a bool is an
-# integer to it, so True asks for a size of 1
-_SIZE = count("output size", 0, accepted=("bool", "None"), error=TypeError)
 
 # callable: (valid call by keyword, {scalar parameter: how it is checked})
 SCALARS = {
@@ -117,15 +111,15 @@ SCALARS = {
     # None: the first member's grid (ensemble_probabilities docstring)
     "ensemble_probabilities": (
         dict(logits_list=[_LOGITS], out_height=4, out_width=4),
-        {"out_height": _SIZE, "out_width": _SIZE},
+        {k: count(k, 0, accepted=("None",)) for k in ("out_height", "out_width")},
     ),
     "ensemble_argmax": (
         dict(logits_list=[_LOGITS], out_height=4, out_width=4),
-        {"out_height": _SIZE, "out_width": _SIZE},
+        {k: count(k, 0, accepted=("None",)) for k in ("out_height", "out_width")},
     ),
     "resize_bilinear": (
         dict(tensor=_LOGITS, out_height=4, out_width=4),
-        {k: dataclasses.replace(_SIZE, accepted=("bool",)) for k in ("out_height", "out_width")},
+        {k: count(k, 0) for k in ("out_height", "out_width")},
     ),
 }
 
@@ -184,14 +178,12 @@ def test_bad_scalar_is_named_or_has_a_stated_meaning(name, param):
     fn = getattr(ea, name)
     problems = []
     for key, value in _bad_values(spec).items():
-        # a value out of range is a ToolkitError everywhere, ensemble sizes included
-        expected = ea.ToolkitError if key == "out-of-range" else spec.error
         try:
             fn(**{**call, param: [value] if spec.as_list else value})
         except Exception as exc:  # noqa: BLE001 - every outcome is reported, not raised
-            if key in spec.accepted or not isinstance(exc, expected):
+            if key in spec.accepted or not isinstance(exc, ea.ToolkitError):
                 problems.append(f"{key}: {type(exc).__name__}: {exc}")
-            elif expected is ea.ToolkitError and spec.name not in str(exc):
+            elif spec.name not in str(exc):
                 problems.append(f"{key}: the message does not name {spec.name!r}: {exc}")
         else:
             if key not in spec.accepted:

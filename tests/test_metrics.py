@@ -179,11 +179,27 @@ def test_evaluate_frames_keeps_duplicate_and_out_of_range_class_ids():
     assert ea.region_jaccard(pred, gt, 300) is None and ea.boundary_f(pred, gt, -2, 1) is None
 
 
-def test_negative_tolerance_raises_only_where_a_boundary_pair_needs_it():
+def test_negative_tolerance_raises_whatever_the_frames_hold():
     gt = np.zeros((6, 6), dtype=np.uint8)
     gt[2:4, 2:4] = 1
     with pytest.raises(InvalidRaster):
         ea.boundary_f(gt, gt, 1, -1)
     with pytest.raises(InvalidRaster):
         ea.evaluate_frames([gt], [gt], [1], -1)
-    assert ea.boundary_f(gt, np.zeros_like(gt), 1, -1) == 0.0
+    with pytest.raises(InvalidRaster):  # no boundary pair, and still checked
+        ea.boundary_f(gt, np.zeros_like(gt), 1, -1)
+
+
+def test_evaluate_frames_without_class_ids_scores_the_ground_truth_classes():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        gts = [rng.integers(0, int(rng.integers(1, 6)), (7, 9), dtype=np.uint8) for _ in range(n)]
+        preds = [rng.integers(0, 6, (7, 9), dtype=np.uint8) for _ in range(n)]
+        held = sorted({int(c) for g in gts for c in np.unique(g) if c})
+        if not held:
+            with pytest.raises(NoClassEverPresent):
+                ea.evaluate_frames(preds, gts, None)
+            continue
+        want = ea.evaluate_frames(preds, gts, held).to_json_dict()
+        assert ea.evaluate_frames(preds, gts, None).to_json_dict() == want

@@ -522,7 +522,7 @@ def _run_frames(frame, tasks, jobs) -> list:
                 pipe.close()
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if record is None:
-                    raise RuntimeError(f"pipeline worker {pid} exited with status {code} and no result")
+                    raise RuntimeError(f"frame worker {pid} exited with status {code} and no result")
             if isinstance(record, ToolkitError):
                 raise record
             results.append(record)

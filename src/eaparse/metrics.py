@@ -9,16 +9,18 @@ zero would punish correct rejections.
 
 Scoring takes one pass per frame for all classes at once, and reduces the
 frame to a small record (``_frame_scores``): the non-zero classes its ground
-truth holds, and J and F per class. J comes from one confusion count of
-(prediction, ground truth) label pairs, and F from a stack of per-class
-masks of each map, cropped to the bounding box of every label change in
-either map. Every class boundary lies inside that box, and so does every
-differing neighbor of a pixel in it, so the crop changes no boundary pixel
-and no count. ``_report`` aggregates the records in frame order, and
-``evaluate_frames`` is the two composed. The CLI's ``eval`` and ``pipeline``
-score each frame as it runs and aggregate once at the end, so no frame's
-maps are kept for the report. ``region_jaccard`` and ``boundary_f`` are the
-one-class case of the same code.
+truth holds, and J and F per class. J comes from three per-label pixel
+counts: of the prediction, of the ground truth, and of the pixels where the
+two agree. F maps each map through ``bit[labels]`` to a plane of class bits,
+one bit per requested class and up to 64 classes per plane, in the smallest
+unsigned dtype that holds them. On each map's plane one ``_edges`` call
+gives every class's boundary and one ``_disk_morph`` dilates them all; the
+pixels with each bit set are counted from the plane's little-endian bytes,
+whatever the machine's byte order. ``_report`` aggregates the records in
+frame order, and ``evaluate_frames`` is the two composed. The CLI's
+``eval`` and ``pipeline`` score each frame as it runs and aggregate once at
+the end, so no frame's maps are kept for the report. ``region_jaccard`` and
+``boundary_f`` are the one-class case of the same code.
 
 A class id is an integer (numpy integers too, never a bool); an id outside
 0..255 names no label, so it is absent from every frame and skipped. A
@@ -60,66 +62,57 @@ def _label_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     return p, g
 
 
-def _confusion(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pixel count of each (prediction, ground truth) label pair of one frame."""
-    return np.bincount((p.astype(np.intp) << 8 | g).ravel(), minlength=65536).reshape(256, 256)
+def _counts(p: np.ndarray, g: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Pixel count of each label of one frame: in p, in g, and where they agree."""
+    return tuple(np.bincount(a.ravel(), minlength=256).tolist() for a in (p, g, p[p == g]))
 
 
-def _jaccards(conf: np.ndarray, class_ids) -> list[float | None]:
-    """J of each class of one frame, from its confusion count; None when absent."""
-    inter = conf.diagonal().tolist()
-    union = (conf.sum(axis=1) + conf.sum(axis=0)).tolist()
+def _jaccards(counts, class_ids) -> list[float | None]:
+    """J of each class of one frame, from its ``_counts``; None when absent."""
+    n_p, n_g, inter = counts
     out = []
     for c in class_ids:
-        u = union[c] - inter[c] if 0 <= c < 256 else 0
+        u = n_p[c] + n_g[c] - inter[c] if 0 <= c < 256 else 0
         out.append(inter[c] / u if u else None)
     return out
 
 
+def _bit_counts(plane: np.ndarray) -> list[int]:
+    """Pixels of ``plane`` with bit k set, for each bit k of its dtype."""
+    v = plane[plane != 0].astype(plane.dtype.newbyteorder("<"), copy=False)  # byte 0: bits 0-7
+    return np.unpackbits(v.view(np.uint8), bitorder="little").reshape(-1, 8 * v.itemsize).sum(axis=0).tolist()
+
+
 def _boundary_fs(p: np.ndarray, g: np.ndarray, class_ids, tolerance: int) -> list[float | None]:
-    """F of each class of one frame, all classes in one stack; None when absent."""
-    changes = _edges(p) | _edges(g)
-    rows = np.flatnonzero(changes.any(axis=1))
-    if rows.size == 0:
-        return [None] * len(class_ids)
-    cols = np.flatnonzero(changes.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    """F of each class of one frame, 64 classes per bit plane; None when absent."""
     ids = sorted({c for c in class_ids if 0 <= c < 256})
-    stack = np.array(ids, dtype=np.uint8)[:, None, None]
-    bp = _edges(p[box] == stack)
-    bg = _edges(g[box] == stack)
-    n_p = bp.sum(axis=(1, 2))
-    n_g = bg.sum(axis=(1, 2))
-    hit_p = np.zeros_like(n_p)
-    hit_g = np.zeros_like(n_g)
-    both = (n_p > 0) & (n_g > 0)
-    if both.any():
-        bp, bg = bp[both], bg[both]
-        hit_p[both] = (bp & _disk_morph(bg, tolerance, erode=False)).sum(axis=(1, 2))
-        hit_g[both] = (bg & _disk_morph(bp, tolerance, erode=False)).sum(axis=(1, 2))
-    counts = dict(zip(ids, zip(n_p.tolist(), n_g.tolist(), hit_p.tolist(), hit_g.tolist())))
+    counts = {}
+    for first in range(0, len(ids), 64):
+        plane_ids = ids[first : first + 64]
+        bit = np.zeros(256, np.min_scalar_type((1 << len(plane_ids)) - 1))
+        bit[plane_ids] = [1 << k for k in range(len(plane_ids))]
+        bp, bg = _edges(bit[p]), _edges(bit[g])
+        hit_p = hit_g = [0] * len(plane_ids)
+        if bp.any() and bg.any():
+            hit_p = _bit_counts(bp & _disk_morph(bg, tolerance, erode=False))
+            hit_g = _bit_counts(bg & _disk_morph(bp, tolerance, erode=False))
+        counts.update(zip(plane_ids, zip(_bit_counts(bp), _bit_counts(bg), hit_p, hit_g)))
 
     out = []
     for c in class_ids:
         np_, ng, tp_p, tp_g = counts.get(c, (0, 0, 0, 0))
-        if np_ == 0 and ng == 0:
-            out.append(None)
-        elif np_ == 0 or ng == 0:
-            out.append(0.0)
-        else:
-            precision = tp_p / np_
-            recall = tp_g / ng
-            if precision + recall == 0:
-                out.append(0.0)
-            else:
-                out.append(2.0 * precision * recall / (precision + recall))
+        if np_ == 0 or ng == 0:  # None when both are 0
+            out.append(None if np_ == ng else 0.0)
+            continue
+        precision, recall = tp_p / np_, tp_g / ng
+        out.append(2.0 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return out
 
 
 def region_jaccard(pred, gt, class_id: int) -> float | None:
     """|pred ∩ gt| / |pred ∪ gt| for one class; None when both are empty."""
     _check_number("class_id", class_id, integer=True)
-    return _jaccards(_confusion(*_label_pair(pred, gt)), [class_id])[0]
+    return _jaccards(_counts(*_label_pair(pred, gt)), [class_id])[0]
 
 
 def boundary_f(pred, gt, class_id: int, tolerance: int | None = None) -> float | None:
@@ -143,13 +136,14 @@ def _frame_scores(pred, gt, class_ids, tolerance):
     non-zero class either map holds; J and F are None where skipped. Callers
     check the tolerance first, by ``evaluate_frames``'s rule."""
     p, g = _label_pair(pred, gt)
-    conf = _confusion(p, g)
-    in_gt = conf.sum(axis=0)[1:] > 0
+    counts = _counts(p, g)
+    n_p, n_g, _ = counts
+    in_gt = [c for c in range(1, 256) if n_g[c]]
     if class_ids is None:
-        class_ids = (np.flatnonzero(in_gt | (conf.sum(axis=1)[1:] > 0)) + 1).tolist()
+        class_ids = [c for c in range(1, 256) if n_p[c] or n_g[c]]
     tol = default_tolerance(*p.shape) if tolerance is None else tolerance
-    scores = zip(class_ids, _jaccards(conf, class_ids), _boundary_fs(p, g, class_ids, tol))
-    return (np.flatnonzero(in_gt) + 1).tolist(), list(scores)
+    scores = zip(class_ids, _jaccards(counts, class_ids), _boundary_fs(p, g, class_ids, tol))
+    return in_gt, list(scores)
 
 
 @dataclass

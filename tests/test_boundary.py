@@ -175,3 +175,19 @@ def test_disk_guard_fails_fast_above_its_limit(monkeypatch):
     for op in (ea.dilate_mask, ea.erode_mask):
         with pytest.raises(AssertionError, match=r"_disk_rows\(4\) asked for more than 3"):
             op(m, 4)
+
+
+def test_bit_plane_boundary_and_dilation_are_those_of_each_class_mask():
+    rng = np.random.default_rng(32)
+    for dtype, n_bits in ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.uint64, 64)):
+        labels = rng.integers(0, n_bits + 2, (9, 11)).astype(np.uint8)
+        bit = np.zeros(256, dtype)
+        bit[1 : n_bits + 1] = [1 << k for k in range(n_bits)]  # label 0 and n_bits + 1 carry no bit
+        edges = boundary._edges(bit[labels])
+        class_edges = [helpers.oracle_boundary((labels == k + 1).astype(np.uint8)) for k in range(n_bits)]
+        assert edges.dtype == dtype
+        assert all(((edges >> k) & 1 == e).all() for k, e in enumerate(class_edges))
+        for radius in (0, 1, 3, 30):
+            grown = boundary._disk_morph(edges, radius, erode=False)
+            assert grown.dtype == dtype
+            assert all(((grown >> k) & 1 == helpers.oracle_dilate(e, radius)).all() for k, e in enumerate(class_edges))

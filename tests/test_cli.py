@@ -1511,8 +1511,29 @@ def test_pipeline_worker_that_dies_without_a_result_is_an_internal_error(capsys,
     monkeypatch.setattr(cli, "_pipeline_frame", dying)
     code, out, err = run(capsys, "--jobs", "2", *_pipeline_argv(paths, tmp_path / "out"))
     assert code == 1 and out == ""
-    assert "pipeline worker" in err and "status 3" in err
+    assert "frame worker" in err and "status 3" in err
     assert not (tmp_path / "out").exists()
+    assert _no_child_left()
+
+
+def test_eval_worker_that_dies_without_a_result_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    argv = _eval_dirs(tmp_path)
+    for name in ("1.pgm", "2.pgm"):
+        for side in ("pred", "gt"):
+            shutil.copy(tmp_path / side / "0.pgm", tmp_path / side / name)
+    parent = os.getpid()
+    frame = cli._eval_frame
+
+    def dying(task):
+        if os.getpid() != parent:
+            os._exit(3)
+        return frame(task)
+
+    monkeypatch.setattr(cli, "_eval_frame", dying)
+    code, out, err = run(capsys, "--jobs", "2", *argv, "--out", str(tmp_path / "r.json"))
+    assert code == 1 and out == ""
+    assert "frame worker" in err and "status 3" in err
+    assert not (tmp_path / "r.json").exists()
     assert _no_child_left()
 
 
@@ -1539,7 +1560,7 @@ def test_pipeline_worker_that_dies_stops_the_other_workers(tmp_path):
         [sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True, cwd=tmp_path, env=env
     )
     assert json.loads(proc.stdout.splitlines()[-1]) == [1, False], proc.stderr
-    assert "pipeline worker" in proc.stderr and "status 3" in proc.stderr
+    assert "frame worker" in proc.stderr and "status 3" in proc.stderr
     assert "BrokenPipeError" not in proc.stderr, proc.stderr
     assert not (tmp_path / "clip" / "out").exists()
 
@@ -1670,7 +1691,7 @@ def test_pipeline_worker_that_dies_after_sending_a_record_is_an_internal_error(c
     monkeypatch.setattr(cli, "_pipeline_frame", dying_late)
     code, out, err = run(capsys, "--jobs", "2", *_pipeline_argv(paths, tmp_path / "out"))
     assert code == 1 and out == ""
-    assert "pipeline worker" in err and "status 3" in err
+    assert "frame worker" in err and "status 3" in err
     assert not (tmp_path / "out").exists()
     assert _no_child_left()
 

@@ -1,6 +1,7 @@
 """Region and boundary scores against brute-force oracles and edge rules."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,3 +204,37 @@ def test_evaluate_frames_without_class_ids_scores_the_ground_truth_classes():
             continue
         want = ea.evaluate_frames(preds, gts, held).to_json_dict()
         assert ea.evaluate_frames(preds, gts, None).to_json_dict() == want
+
+
+def _frame_holding(rng, labels, h, w, block):
+    """An h x w frame in which every label of ``labels`` fills some block x block cell."""
+    hb, wb = -(-h // block), -(-w // block)
+    cells = rng.permutation(np.resize(labels, hb * wb)).reshape(hb, wb)
+    return np.kron(cells, np.ones((block, block), dtype=np.int64))[:h, :w].astype(np.uint8)
+
+
+def test_evaluate_frames_matches_the_oracle_on_every_bit_plane_width():
+    # F scores up to 64 classes per bit plane, in the smallest unsigned dtype that
+    # holds them: 9, 17, 33 and 65 classes are one more than an 8-, 16-, 32- and
+    # 64-bit plane holds, and 65 or more requested classes need a second plane
+    rng = np.random.default_rng(32)
+    for i, n in enumerate((8, 9, 16, 17, 32, 33, 64, 65, 130, 256)):
+        block = 1 if n > 64 else 2
+        side = math.isqrt(n - 1) + 1
+        h, w = side * block + int(rng.integers(0, 2)), side * block
+        labels = rng.choice(256, n, replace=False)
+        gts = [_frame_holding(rng, labels, h, w, block) for _ in range(2)]
+        preds = [np.roll(gts[0], 1, axis=i % 2), _frame_holding(rng, labels, h, w, block)]
+        if i % 3 == 0:  # a frame that holds only a few of the labels
+            preds.append(_frame_holding(rng, labels[:3], h, w, block))
+            gts.append(preds[-1].copy())
+        # every label, some absent ids and ids outside 0..255, in any order
+        class_ids = [*labels.tolist(), *rng.choice(256, 5).tolist(), -1, 256, 999]
+        class_ids = [int(c) for c in rng.permutation(class_ids)]
+        tolerance = [0, 1, None, h + w, h + w + 3][i % 5]
+        want = helpers.oracle_evaluate_frames(preds, gts, class_ids, tolerance)
+        got = ea.evaluate_frames(preds, gts, class_ids, tolerance).to_json_dict()
+        assert json.dumps(got) == json.dumps(want), n
+        held = sorted({int(c) for g in gts for c in np.unique(g) if c})
+        want = helpers.oracle_evaluate_frames(preds, gts, held, tolerance)
+        assert json.dumps(ea.evaluate_frames(preds, gts, None, tolerance).to_json_dict()) == json.dumps(want), n

@@ -24,11 +24,19 @@ its dest (``--gamma``: ``grabcut.gamma``); the flags given are merged over
 the config as the config is merged over the defaults, so handlers read every
 setting from ``cfg``.
 
+Dispatch goes through the parser's defaults: each subcommand's parser (each
+of ``roi crop`` and ``roi paste``) sets ``run`` to its handler, and ``main``
+calls ``args.run(cfg, args)``. The flags two subcommands share (``--image``
+and ``--labels`` of ``augment`` and ``grabcut``, ``--classes`` and
+``--tolerance`` of ``eval`` and ``pipeline``, the box flags of ``roi``) are
+declared once each, in a parent parser, so they come first in a usage line.
+
 Exit codes, returned by ``main`` alone: 0 on success, 2 on malformed input
 of any kind (a ``ToolkitError``: bad files, bad flags, unknown config keys),
 1 on an internal error or a failure of the machine (an ``OSError`` such as
 a fork that fails). No subcommand writes a partial output: results are
-computed fully before the first byte goes to disk.
+computed fully before the first byte goes to disk, and a ``pipeline`` whose
+write fails removes the ``--out-dir`` directories it made.
 
 Allocator policy: where the C library is glibc, ``main`` first raises glibc's
 mmap threshold to 32 MiB and its trim threshold to 64 MiB with ``mallopt``;
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import copy
 import ctypes
 import dataclasses
@@ -367,21 +376,20 @@ def _cmd_eval(cfg, args):
     _write_files([(args.out, _report_json(cfg, _run_frames(_eval_frame, tasks, args.jobs)))])
 
 
-def _cmd_roi(cfg, args):
-    if args.roi_op == "crop":
-        is_image = args.image is not None
-        raster = read_rgb_image(args.image) if is_image else read_label_map(args.labels)
-        box = _resolve_box(args)
-        if args.expand is not None:
-            h, w = raster.shape[:2]
-            box = expand_box(box, args.expand, w, h)
-        out = crop(raster, box)
-        (write_rgb_image if is_image else write_label_map)(out, args.out)
-    else:  # paste
-        canvas = read_label_map(args.canvas)
-        patch = read_label_map(args.patch)
-        box = _resolve_box(args)
-        write_label_map(paste(canvas, patch, box), args.out)
+def _cmd_roi_crop(cfg, args):
+    is_image = args.image is not None
+    raster = read_rgb_image(args.image) if is_image else read_label_map(args.labels)
+    box = _resolve_box(args)
+    if args.expand is not None:
+        h, w = raster.shape[:2]
+        box = expand_box(box, args.expand, w, h)
+    (write_rgb_image if is_image else write_label_map)(crop(raster, box), args.out)
+
+
+def _cmd_roi_paste(cfg, args):
+    canvas = read_label_map(args.canvas)
+    patch = read_label_map(args.patch)
+    write_label_map(paste(canvas, patch, _resolve_box(args)), args.out)
 
 
 def _resolve_box(args) -> Box:
@@ -404,7 +412,7 @@ def _pipeline_frame(task):
     """One frame of ``pipeline``: its label map's PGM bytes, and the
     ``_frame_scores`` record of that map against its ground truth. Nothing
     else of the frame outlives the call."""
-    cfg, args, idx, stem, boxes = task
+    cfg, args, idx, stem, boxes, params = task
     try:
         image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
         h, w = image.shape[:2]
@@ -437,7 +445,7 @@ def _pipeline_frame(task):
 
         refine_ids = cfg["grabcut"]["classes"]
         # a frame seed loads numpy.random (~10 ms), so a pipeline that refines nothing derives none
-        params = _grabcut_params(cfg, _frame_seed(cfg["rng_seed"], idx)) if refine_ids else None
+        params = dataclasses.replace(params, rng_seed=_frame_seed(cfg["rng_seed"], idx)) if refine_ids else None
         for class_id in refine_ids:
             if (canvas == class_id).any():
                 canvas = refine_class(canvas, image, class_id, params)
@@ -535,7 +543,7 @@ def _run_frames(frame, tasks, jobs) -> list:
 
 
 def _cmd_pipeline(cfg, args):
-    _grabcut_params(cfg, cfg["rng_seed"])  # checks the settings even if no frame refines
+    params = _grabcut_params(cfg, cfg["rng_seed"])  # checks the settings even if no frame refines
     _check_number("tolerance", cfg["metric_tolerance"] or 0, 0, integer=True)  # as in eval
     stems = [Path(n).stem for n in _list_frames(args.images, ".ppm")]
     all_boxes = _read_boxes_jsonl(args.boxes)
@@ -543,18 +551,25 @@ def _cmd_pipeline(cfg, args):
         if stem not in all_boxes:
             raise ToolkitError(f"{args.boxes}: no box for frame {stem!r}")
 
-    tasks = [(cfg, args, idx, stem, all_boxes[stem]) for idx, stem in enumerate(stems)]
+    tasks = [(cfg, args, idx, stem, all_boxes[stem], params) for idx, stem in enumerate(stems)]
     pgms, records = zip(*_run_frames(_pipeline_frame, tasks, args.jobs))
     payload = _report_json(cfg, records)
 
     # all computation succeeded; only now touch the disk
     out_dir = Path(args.out_dir)
+    outputs = [(out_dir / f"{stem}.pgm", pgm) for stem, pgm in zip(stems, pgms)]
+    # the directories mkdir will make, deepest first; realpath reads "new/.." as mkdir will
+    made = [d for d in map(os.path.realpath, (out_dir, *out_dir.parents)) if not os.path.lexists(d)]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {out_dir}: {exc.strerror}") from exc
-    outputs = [(out_dir / f"{stem}.pgm", pgm) for stem, pgm in zip(stems, pgms)]
-    _write_files(outputs + [(out_dir / "report.json", payload)])
+        _write_files(outputs + [(out_dir / "report.json", payload)])
+    except BaseException as exc:  # a failed write leaves no directory it made either
+        for d in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        if isinstance(exc, OSError):  # mkdir's; _write_files raises IoFailure
+            raise IoFailure(f"cannot write {out_dir}: {exc.strerror}") from exc
+        raise
 
 
 # --- allocator policy ---
@@ -606,7 +621,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_command(subparsers, name: str, run, *parents, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand parser with the flags of ``parents`` first; its parsed
+    namespace carries ``run``, the handler ``main`` calls."""
+    p = subparsers.add_parser(name, parents=list(parents), **kwargs)
+    p.set_defaults(run=run)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser. Each subcommand's handler is read from this module when this
+    runs, so a handler rebound on the module beforehand is the one ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="eaparse",
         description="Face-parsing post-processing toolkit: boundary masks, "
@@ -628,14 +653,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    p = sub.add_parser("edges", help="write the near-boundary attention mask of a label map")
+    # the flag groups two subcommands share
+    frame = argparse.ArgumentParser(add_help=False)  # augment, grabcut
+    frame.add_argument("--image", required=True, metavar="i.ppm")
+    frame.add_argument("--labels", required=True, metavar="l.pgm")
+    scoring = argparse.ArgumentParser(add_help=False)  # eval, pipeline
+    scoring.add_argument(
+        "--classes", type=_parse_classes, metavar="1,2,...", help="classes to score (default: all non-zero gt classes)"
+    )
+    scoring.add_argument("--tolerance", type=int, dest="metric_tolerance", metavar="T")
+    box = argparse.ArgumentParser(add_help=False)  # roi crop, roi paste
+    box.add_argument("--box", metavar="x0,y0,x1,y1")
+    box.add_argument("--boxes-jsonl", metavar="boxes.jsonl")
+    box.add_argument("--frame", metavar="NAME", help="frame key inside --boxes-jsonl")
+
+    p = _add_command(sub, "edges", _cmd_edges, help="write the near-boundary attention mask of a label map")
     p.add_argument("--labels", required=True, metavar="in.pgm")
     p.add_argument(
         "--radius", type=int, dest="edge_radius", help="band radius in pixels (default from config)"
     )
     p.add_argument("--out", required=True, metavar="mask.pgm")
 
-    p = sub.add_parser("loss", help="evaluate the segmentation loss (and its gradient)")
+    p = _add_command(sub, "loss", _cmd_loss, help="evaluate the segmentation loss (and its gradient)")
     p.add_argument("--logits", required=True, metavar="x.fplt")
     p.add_argument("--labels", required=True, metavar="y.pgm")
     p.add_argument("--mask", metavar="m.pgm", help="restrict the base term to these pixels")
@@ -662,10 +701,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the class-logit gradient of the total loss",
     )
 
-    p = sub.add_parser("augment", help="apply a symmetry-aware augmentation to a frame")
+    p = _add_command(sub, "augment", _cmd_augment, frame, help="apply a symmetry-aware augmentation to a frame")
     p.add_argument("--op", required=True, choices=["hflip", "rot90", "rot270", "cuthalf"])
-    p.add_argument("--image", required=True, metavar="i.ppm")
-    p.add_argument("--labels", required=True, metavar="l.pgm")
     p.add_argument(
         "--config",
         dest="swaps_config",
@@ -680,9 +717,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="writes <p>image.ppm and <p>labels.pgm",
     )
 
-    p = sub.add_parser("grabcut", help="refine one class of a label map against its image")
-    p.add_argument("--image", required=True, metavar="i.ppm")
-    p.add_argument("--labels", required=True, metavar="l.pgm")
+    p = _add_command(sub, "grabcut", _cmd_grabcut, frame, help="refine one class of a label map against its image")
     p.add_argument("--class", dest="class_id", type=int, required=True, metavar="K")
     p.add_argument("--gamma", type=float, dest="grabcut.gamma", metavar="G")
     p.add_argument("--components", type=int, dest="grabcut.components_k", metavar="K")
@@ -693,41 +728,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="refined.pgm")
     p.add_argument("--energy-trace", metavar="trace.json")
 
-    p = sub.add_parser("ensemble", help="fuse several logit files into one prediction")
+    p = _add_command(sub, "ensemble", _cmd_ensemble, help="fuse several logit files into one prediction")
     p.add_argument("--inputs", required=True, nargs="+", metavar="x.fplt")
     p.add_argument("--height", type=int, metavar="H")
     p.add_argument("--width", type=int, metavar="W")
     p.add_argument("--out", required=True, metavar="pred.pgm")
 
-    p = sub.add_parser("eval", help="score predictions against ground truth (J and F)")
+    p = _add_command(sub, "eval", _cmd_eval, scoring, help="score predictions against ground truth (J and F)")
     p.add_argument("--pred-dir", required=True, metavar="P")
     p.add_argument("--gt-dir", required=True, metavar="G")
-    p.add_argument(
-        "--classes", type=_parse_classes, metavar="1,2,...", help="default: all non-zero gt classes"
-    )
-    p.add_argument("--tolerance", type=int, dest="metric_tolerance", metavar="T")
     p.add_argument("--out", required=True, metavar="report.json")
 
     p = sub.add_parser("roi", help="box geometry: crop out or paste back")
-    roi_sub = p.add_subparsers(dest="roi_op", required=True, metavar="crop|paste")
-    pc = roi_sub.add_parser("crop")
-    src = pc.add_mutually_exclusive_group(required=True)
+    roi_sub = p.add_subparsers(required=True, metavar="crop|paste")
+    p = _add_command(roi_sub, "crop", _cmd_roi_crop, box)
+    src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--image", metavar="i.ppm")
     src.add_argument("--labels", metavar="l.pgm")
-    pc.add_argument("--box", metavar="x0,y0,x1,y1")
-    pc.add_argument("--boxes-jsonl", metavar="boxes.jsonl")
-    pc.add_argument("--frame", metavar="NAME", help="frame key inside --boxes-jsonl")
-    pc.add_argument("--expand", type=float, metavar="R", help="expand the box first")
-    pc.add_argument("--out", required=True)
-    pp = roi_sub.add_parser("paste")
-    pp.add_argument("--canvas", required=True, metavar="c.pgm")
-    pp.add_argument("--patch", required=True, metavar="p.pgm")
-    pp.add_argument("--box", metavar="x0,y0,x1,y1")
-    pp.add_argument("--boxes-jsonl", metavar="boxes.jsonl")
-    pp.add_argument("--frame", metavar="NAME")
-    pp.add_argument("--out", required=True, metavar="o.pgm")
+    p.add_argument("--expand", type=float, metavar="R", help="expand the box first")
+    p.add_argument("--out", required=True)
+    p = _add_command(roi_sub, "paste", _cmd_roi_paste, box)
+    p.add_argument("--canvas", required=True, metavar="c.pgm")
+    p.add_argument("--patch", required=True, metavar="p.pgm")
+    p.add_argument("--out", required=True, metavar="o.pgm")
 
-    p = sub.add_parser("pipeline", help="run the whole flow over a directory of frames")
+    p = _add_command(sub, "pipeline", _cmd_pipeline, scoring, help="run the whole flow over a directory of frames")
     p.add_argument("--images", required=True, metavar="DIR", help="input frames (.ppm)")
     p.add_argument("--boxes", required=True, metavar="boxes.jsonl")
     p.add_argument(
@@ -745,21 +770,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--refine-classes", type=_parse_classes, dest="grabcut.classes", metavar="1,2,...",
         help="classes to refine with grabcut",
     )
-    p.add_argument("--classes", type=_parse_classes, metavar="1,2,...", help="classes to score")
-    p.add_argument("--tolerance", type=int, dest="metric_tolerance", metavar="T")
     return parser
-
-
-_HANDLERS = {
-    "edges": _cmd_edges,
-    "loss": _cmd_loss,
-    "augment": _cmd_augment,
-    "grabcut": _cmd_grabcut,
-    "ensemble": _cmd_ensemble,
-    "eval": _cmd_eval,
-    "roi": _cmd_roi,
-    "pipeline": _cmd_pipeline,
-}
 
 
 def main(argv=None) -> int:
@@ -774,7 +785,7 @@ def main(argv=None) -> int:
         elif args.command is None:
             parser.error("a subcommand is required (or --print-config)")
         else:
-            _HANDLERS[args.command](cfg, args)
+            args.run(cfg, args)
     except (ToolkitError, OSError) as exc:  # bad input, or a failure of the machine (a fork)
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ToolkitError) else 1

@@ -2724,6 +2724,30 @@ def test_pipeline_out_dir_that_cannot_be_made_exits_2_and_writes_nothing(capsys,
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("where", ["nested", "existing", "through-dot-dot"])
+def test_pipeline_write_that_fails_leaves_no_out_dir_it_made(capsys, monkeypatch, tmp_path, where):
+    paths = helpers.write_clip(tmp_path / "clip", n_frames=2)
+    if where == "nested":  # two directories to make
+        out_dir = tmp_path / "new" / "out"
+    elif where == "existing":  # an empty directory that was there stays
+        out_dir = tmp_path / "old" / "out"
+        out_dir.mkdir(parents=True)
+    else:  # "new" is made and "old" was there: new/.. is tmp_path once new exists
+        (tmp_path / "old").mkdir()
+        out_dir = tmp_path / "new" / ".." / "old"
+    before = _tree(tmp_path)
+
+    def refuse(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, "--jobs", "1", *_pipeline_argv(paths, out_dir))
+    reason = os.strerror(errno.ENOSPC)
+    assert (code, out, err) == (2, "", f"error: cannot write {out_dir / '000.pgm'}: {reason}\n")
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.rglob(".*.tmp"))
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])
 def test_jobs_that_is_not_an_integer_is_a_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:

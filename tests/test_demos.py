@@ -1,5 +1,8 @@
-"""Every demo script runs to completion in a fresh interpreter, with nothing
-on stderr, and leaves no scratch directory behind."""
+"""Every demo script runs to completion in a fresh interpreter with every
+warning an error, with nothing on stderr, and leaves no scratch directory
+behind. ``-X dev`` turns on ResourceWarning and ``-W error`` makes any warning
+an error; one raised in a finaliser (an unclosed pipe or file) only prints, so
+stderr must be empty too."""
 
 import os
 import subprocess
@@ -22,7 +25,7 @@ def test_demo_runs_cleanly(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
     env["TMPDIR"] = str(tmp_path)  # the demos' scratch directories land under tmp_path
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

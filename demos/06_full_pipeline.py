@@ -1,8 +1,9 @@
 """The eaparse executable end to end: boxes, ensembling, refinement, scoring.
 
 Builds a tiny 3-frame clip in a temporary directory, then drives the
-``pipeline`` subcommand exactly as a shell user would. The directory is
-removed on exit.
+``pipeline`` subcommand exactly as a shell user would, and shows that the
+library's ``fuse_frame`` makes the same label map from arrays. The directory
+is removed on exit.
 """
 
 import json
@@ -70,5 +71,13 @@ with tempfile.TemporaryDirectory(prefix="eaparse_demo_") as tmp:
     write_clip(work)
     print("degraded model alone:   J&F =", round(pipeline(work, "solo", ["degraded"], False), 4))
     print("+ clean ensemble member: J&F =", round(pipeline(work, "duo", ["clean", "degraded"], False), 4))
+    # the same fusion from arrays in the library: frame 000's image, its box and both members
+    fused = ea.fuse_frame(
+        ea.read_rgb_image(work / "images" / "000.ppm"),
+        [box],
+        [[ea.read_logits(work / m / "000__0.fplt") for m in ("clean", "degraded")]],
+    )
+    same = bool((fused == ea.read_label_map(work / "duo" / "000.pgm")).all())
+    print("  ea.fuse_frame on frame 000 equals duo/000.pgm:", same)
     print("+ grabcut refinement:    J&F =", round(pipeline(work, "full", ["clean", "degraded"], True), 4))
     print("\nfiles written by the last run:", " ".join(sorted(p.name for p in (work / "full").iterdir())))

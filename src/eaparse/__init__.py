@@ -42,7 +42,7 @@ from .metrics import (
     evaluate_frames,
     region_jaccard,
 )
-from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
+from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, fuse_frame, paste
 from .segloss import (
     LossResult,
     LossWeights,

@@ -18,6 +18,10 @@ it reaps every child on every path. A record holds the frame's J and F per
 class and the classes its ground truth holds, and in ``pipeline`` the
 frame's PGM bytes, which stay in this process until every file is written.
 Where ``os.fork`` does not exist, frames run one by one in this process.
+A ``pipeline`` frame keeps only the files: it reads its image, its ground
+truth and every member of every box, then hands the arrays to the library's
+``fuse_frame``, which fuses the boxes and refines the classes asked for, so
+a file that cannot be read is reported before any error of the fusion.
 
 A subcommand flag that shadows a config key has the key's dotted path as
 its dest (``--gamma``: ``grabcut.gamma``); the flags given are merged over
@@ -81,11 +85,11 @@ import numpy as np
 
 from .augment import SwapTable, cut_half, hflip_with_swap, rotate_quarter
 from .boundary import DEFAULT_EDGE_RADIUS, edge_attention_mask, extract_boundary
-from .ensemble import _first_max, ensemble_argmax, ensemble_probabilities
+from .ensemble import ensemble_argmax
 from .errors import IoFailure, ShapeMismatch, ToolkitError
-from .grabcut import GrabcutParams, _refine_class, refine_class
+from .grabcut import GrabcutParams, _refine_class
 from .metrics import _frame_scores, _report
-from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, paste
+from .roi import DEFAULT_EXPAND_RATIO, Box, crop, expand_box, fuse_frame, paste
 from .segloss import (
     LossResult,
     LossWeights,
@@ -408,49 +412,34 @@ def _frame_seed(base_seed: int, frame_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, frame_index]).generate_state(1, dtype=np.uint64)[0])
 
 
+def _member_path(directory, stem: str, k: int, n_boxes: int) -> Path:
+    """Box k's member file in ``directory``: ``<stem>__<k>.fplt``, or ``<stem>.fplt``
+    where a one-box frame has only that."""
+    path = Path(directory) / f"{stem}__{k}.fplt"
+    bare = Path(directory) / f"{stem}.fplt"
+    # os.path.exists is False where a member directory cannot be searched, so the
+    # read names the file; Path.exists raises PermissionError there
+    return bare if n_boxes == 1 and not os.path.exists(path) and os.path.exists(bare) else path
+
+
 def _pipeline_frame(task):
     """One frame of ``pipeline``: its label map's PGM bytes, and the
-    ``_frame_scores`` record of that map against its ground truth. Nothing
-    else of the frame outlives the call."""
+    ``_frame_scores`` record of that map against its ground truth. Every file
+    of the frame is read before ``fuse_frame`` makes the map. Nothing else of
+    the frame outlives the call."""
     cfg, args, idx, stem, boxes, params = task
     try:
         image = read_rgb_image(Path(args.images) / f"{stem}.ppm")
-        h, w = image.shape[:2]
-        gt = _read_ground_truth(Path(args.gt_dir) / f"{stem}.pgm", (h, w))  # the prediction is (h, w)
-
-        canvas = np.zeros((h, w), dtype=np.uint8)
-        confidence = np.zeros((h, w), dtype=np.float64)
-        for k, box in enumerate(boxes):
-            roi_box = expand_box(box, cfg["expand_ratio"], w, h)
-            members = []
-            for d in args.logits_dir:
-                path = Path(d) / f"{stem}__{k}.fplt"
-                # os.path.exists is False where a member directory cannot be searched, so the
-                # read below names the file; Path.exists raises PermissionError there
-                if len(boxes) == 1 and not os.path.exists(path) and os.path.exists(Path(d) / f"{stem}.fplt"):
-                    path = Path(d) / f"{stem}.fplt"
-                members.append(read_logits(path))
-            probs = ensemble_probabilities(members, roi_box.height, roi_box.width)
-            index, patch_conf = _first_max(probs)
-            patch = index.astype(np.uint8)
-            canvas = paste(
-                canvas,
-                patch,
-                roi_box,
-                canvas_confidence=confidence,
-                patch_confidence=patch_conf,
-            )
-            window = confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1]
-            np.maximum(window, patch_conf, out=window)
-
+        gt = _read_ground_truth(Path(args.gt_dir) / f"{stem}.pgm", image.shape[:2])  # the prediction's shape
+        members = [
+            [read_logits(_member_path(d, stem, k, len(boxes))) for d in args.logits_dir] for k in range(len(boxes))
+        ]
         refine_ids = cfg["grabcut"]["classes"]
         # a frame seed loads numpy.random (~10 ms), so a pipeline that refines nothing derives none
-        params = dataclasses.replace(params, rng_seed=_frame_seed(cfg["rng_seed"], idx)) if refine_ids else None
-        for class_id in refine_ids:
-            if (canvas == class_id).any():
-                canvas = refine_class(canvas, image, class_id, params)
-        scores = _frame_scores(canvas, gt, cfg["classes"], cfg["metric_tolerance"])
-        return _label_map_bytes(canvas), scores
+        if refine_ids:
+            params = dataclasses.replace(params, rng_seed=_frame_seed(cfg["rng_seed"], idx))
+        canvas = fuse_frame(image, boxes, members, cfg["expand_ratio"], refine_ids, params)
+        return _label_map_bytes(canvas), _frame_scores(canvas, gt, cfg["classes"], cfg["metric_tolerance"])
     except ToolkitError as exc:
         raise type(exc)(f"frame {stem}: {exc}") from exc
 

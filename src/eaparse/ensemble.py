@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ChannelMismatch, EmptyInput, InvalidRaster
+from .errors import ChannelMismatch, EmptyInput, InvalidRaster, LabelOutOfRange
 from .tensorio import _check_number, ensure_logits
 
 
@@ -94,6 +94,16 @@ def _first_max(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, best
 
 
+def _labels(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 label map of a (C, H, W) probability map, by ``_first_max``,
+    and its confidence; LabelOutOfRange above 256 classes, whose ids a label
+    map cannot hold."""
+    if probs.shape[0] > 256:
+        raise LabelOutOfRange(f"{probs.shape[0]} classes, but a label map holds ids 0..255 only")
+    index, confidence = _first_max(probs)
+    return index.astype(np.uint8), confidence
+
+
 def ensemble_probabilities(
     logits_list, out_height: int | None = None, out_width: int | None = None
 ) -> np.ndarray:
@@ -133,6 +143,6 @@ def ensemble_probabilities(
 def ensemble_argmax(
     logits_list, out_height: int | None = None, out_width: int | None = None
 ) -> np.ndarray:
-    """Argmax label map of the ensembled probabilities; ties go to the lowest id."""
-    probs = ensemble_probabilities(logits_list, out_height, out_width)
-    return _first_max(probs)[0].astype(np.uint8)
+    """Argmax label map of the ensembled probabilities; ties go to the lowest id.
+    More than 256 classes raise LabelOutOfRange."""
+    return _labels(ensemble_probabilities(logits_list, out_height, out_width))[0]

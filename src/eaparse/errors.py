@@ -25,7 +25,8 @@ class ShapeMismatch(ToolkitError):
 
 
 class LabelOutOfRange(ToolkitError):
-    """A label id is >= the channel count of the logits it indexes."""
+    """A label id is >= the channel count of the logits it indexes, or logits
+    hold more than 256 classes, whose ids a uint8 label map cannot hold."""
 
 
 class EmptyMask(ToolkitError):

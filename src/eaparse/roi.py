@@ -1,9 +1,12 @@
-"""Axis-aligned boxes, margin expansion, crop and paste-back.
+"""Axis-aligned boxes, margin expansion, crop and paste-back, and the fusion
+of a frame's face crops into its label map.
 
 Detection-driven pipelines process faces through a crop: expand the detector
 box by a margin, run the model on the crop, then write the result back into
 the full frame. Boxes are half-open pixel rectangles [x0, x1) x [y0, y1), so
-width is x1 - x0 and adjacent boxes never share pixels.
+width is x1 - x0 and adjacent boxes never share pixels. ``fuse_frame`` does
+the whole write-back of one frame from arrays: every box's ensemble, pasted
+by confidence, then GrabCut refinement of the classes asked for.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import _labels, ensemble_probabilities
 from .errors import InvalidBox, OutOfBounds, SizeMismatch
-from .tensorio import _is_number, ensure_label_map, ensure_rgb_image
+from .grabcut import refine_class
+from .tensorio import _check_number, _is_number, ensure_label_map, ensure_rgb_image
 
 # fraction of box width/height added as margin on each side, total, by default
 DEFAULT_EXPAND_RATIO = 0.2
@@ -135,3 +140,39 @@ def paste(
         take = pc > cc[rows_cols]
     window[take] = pt[take]
     return out
+
+
+def fuse_frame(image, boxes, members, expand_ratio=DEFAULT_EXPAND_RATIO, refine_ids=(), params=None) -> np.ndarray:
+    """The label map of one frame from its face boxes and each box's members.
+
+    ``members[k]`` is box k's list of logit tensors, on any grid. The map
+    starts as background (0) at confidence 0. Box by box, in order: the box
+    grows by ``expand_ratio`` (``expand_box``), its members are ensembled on
+    that grid (``ensemble_probabilities``), the first maximum gives each
+    pixel's label and confidence, and the patch is pasted where its confidence
+    is strictly greater than the best of the boxes before, so on a tie the
+    earlier box keeps the pixel. Then ``refine_class`` refines, in turn, each
+    id of ``refine_ids`` (any iterable, read once) that the map holds, with
+    ``params`` (None: the ``GrabcutParams`` defaults); an id outside 0..255 is
+    absent from every map and skipped. Each id must be an integer
+    (InvalidRaster, checked before any work); ``members`` of another length
+    than ``boxes`` raise SizeMismatch, and more than 256 classes
+    LabelOutOfRange.
+    """
+    if len(boxes) != len(members):
+        raise SizeMismatch(f"{len(boxes)} boxes but {len(members)} member lists")
+    refine_ids = [_check_number(f"refine_ids[{i}]", c, integer=True) for i, c in enumerate(refine_ids)]
+    image = ensure_rgb_image(image)
+    h, w = image.shape[:2]
+    canvas = np.zeros((h, w), dtype=np.uint8)
+    confidence = np.zeros((h, w), dtype=np.float64)
+    for box, logits in zip(boxes, members):
+        roi_box = expand_box(box, expand_ratio, w, h)
+        patch, patch_conf = _labels(ensemble_probabilities(logits, roi_box.height, roi_box.width))
+        canvas = paste(canvas, patch, roi_box, canvas_confidence=confidence, patch_confidence=patch_conf)
+        window = confidence[roi_box.y0 : roi_box.y1, roi_box.x0 : roi_box.x1]
+        np.maximum(window, patch_conf, out=window)
+    for class_id in refine_ids:
+        if 0 <= class_id <= 255 and (canvas == class_id).any():
+            canvas = refine_class(canvas, image, class_id, params)
+    return canvas

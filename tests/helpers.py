@@ -647,6 +647,13 @@ def _mask_logits(mask: np.ndarray, magnitude: float) -> np.ndarray:
     return logits
 
 
+def last_class_wins(channels: int, shape=(4, 4)) -> np.ndarray:
+    """Logits of ``channels`` classes whose last class wins at every pixel."""
+    logits = np.zeros((channels, *shape), dtype=np.float32)
+    logits[-1] = 5.0
+    return logits
+
+
 def write_clip(root, n_frames: int = 3, degraded_magnitude: float = 2.0):
     """A tiny on-disk clip for pipeline tests.
 

@@ -723,6 +723,30 @@ def test_ensemble_cmd(capsys, tmp_path):
     assert (ea.read_label_map(out) == ea.ensemble_argmax([a, b])).all()
 
 
+@pytest.mark.parametrize("channels", [256, 300])
+def test_ensemble_and_pipeline_take_at_most_256_classes(capsys, tmp_path, channels):
+    # class 299 once went out as label 43, and the run exited 0
+    for sub in ("images", "gt", "m"):
+        (tmp_path / sub).mkdir()
+    ea.write_logits(helpers.last_class_wins(channels), tmp_path / "m" / "000__0.fplt")
+    ea.write_rgb_image(np.zeros((8, 8, 3), dtype=np.uint8), tmp_path / "images" / "000.ppm")
+    ea.write_label_map(np.full((8, 8), 255, dtype=np.uint8), tmp_path / "gt" / "000.pgm")
+    (tmp_path / "boxes.jsonl").write_text('{"frame": "000", "box": [0, 0, 8, 8]}\n', encoding="utf-8")
+    out, out_dir = tmp_path / "pred.pgm", tmp_path / "new" / "out"
+    ens = run(capsys, "ensemble", "--inputs", str(tmp_path / "m" / "000__0.fplt"), "--out", str(out))
+    argv = ["pipeline", "--images", str(tmp_path / "images"), "--boxes", str(tmp_path / "boxes.jsonl")]
+    argv += ["--logits-dir", str(tmp_path / "m"), "--gt-dir", str(tmp_path / "gt"), "--out-dir", str(out_dir)]
+    pipe = run(capsys, *argv)
+    if channels == 256:
+        assert ens[0] == pipe[0] == 0, (ens, pipe)
+        assert (ea.read_label_map(out) == 255).all()
+        assert (ea.read_label_map(out_dir / "000.pgm") == 255).all()
+    else:
+        assert ens == (2, "", "error: 300 classes, but a label map holds ids 0..255 only\n")
+        assert pipe == (2, "", "error: frame 000: 300 classes, but a label map holds ids 0..255 only\n")
+        assert not out.exists() and not (tmp_path / "new").exists()
+
+
 # --- eval ---
 
 
@@ -1396,6 +1420,54 @@ def test_pipeline_needs_indexed_members_for_a_two_box_frame(capsys, tmp_path):
     assert err.startswith("error: frame 000: ") and "000__0.fplt" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# --- the library's fuse_frame makes pipeline's label maps ---
+
+
+def _fuse_members(dirs, stem: str, n_boxes: int) -> list:
+    return [[ea.read_logits(Path(d) / f"{stem}__{k}.fplt") for d in dirs] for k in range(n_boxes)]
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["fused", "refined"])
+def test_fuse_frame_gives_the_pipeline_label_maps(capsys, tmp_path, refine):
+    paths = helpers.write_clip(tmp_path / "clip")
+    argv = ["pipeline", "--images", str(paths["images"]), "--boxes", str(paths["boxes"])]
+    # the degraded member alone, whose 6x6 hole refinement fills
+    argv += ["--logits-dir", str(paths["degraded"]), "--gt-dir", str(paths["gt"]), "--out-dir", str(tmp_path / "out")]
+    code, _, err = run(capsys, *argv, *(["--refine-classes", "1"] if refine else []))
+    assert code == 0, err
+    for idx, stem in enumerate(("000", "001", "002")):
+        image = ea.read_rgb_image(paths["images"] / f"{stem}.ppm")
+        members = _fuse_members([paths["degraded"]], stem, 1)
+        params = ea.GrabcutParams(rng_seed=cli._frame_seed(0, idx))
+        # the ids may be any iterable: an iterator is read once
+        fused = ea.fuse_frame(image, [ea.Box(4, 4, 28, 28)], members, 0.2, iter([1] if refine else []), params)
+        assert _label_map_bytes(fused) == (tmp_path / "out" / f"{stem}.pgm").read_bytes()
+        assert (fused != ea.fuse_frame(image, [ea.Box(4, 4, 28, 28)], members)).any() == refine
+
+
+def test_fuse_frame_gives_the_pipeline_label_map_of_overlapping_boxes(capsys, tmp_path):
+    rng = np.random.default_rng(36)
+    for sub in ("images", "gt", "a", "b"):
+        (tmp_path / sub).mkdir()
+    image = rng.integers(0, 256, (40, 48, 3), dtype=np.uint8)
+    ea.write_rgb_image(image, tmp_path / "images" / "000.ppm")
+    ea.write_label_map(rng.integers(0, 3, (40, 48), dtype=np.uint8), tmp_path / "gt" / "000.pgm")
+    boxes = [ea.Box(2, 2, 24, 22), ea.Box(14, 12, 40, 36)]  # they overlap, and more so once expanded
+    lines = [json.dumps({"frame": "000", "box": [b.x0, b.y0, b.x1, b.y1]}) for b in boxes]
+    (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for member, (h, w) in (("a", (13, 11)), ("b", (30, 28))):  # grids other than the boxes'
+        for k in range(2):
+            ea.write_logits(rng.normal(0, 2, (3, h, w)).astype(np.float32), tmp_path / member / f"000__{k}.fplt")
+    argv = ["pipeline", "--images", str(tmp_path / "images"), "--boxes", str(tmp_path / "boxes.jsonl")]
+    argv += ["--logits-dir", str(tmp_path / "a"), "--logits-dir", str(tmp_path / "b")]
+    argv += ["--gt-dir", str(tmp_path / "gt"), "--out-dir", str(tmp_path / "out"), "--expand", "0.5"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    fused = ea.fuse_frame(image, boxes, _fuse_members((tmp_path / "a", tmp_path / "b"), "000", 2), 0.5)
+    assert _label_map_bytes(fused) == (tmp_path / "out" / "000.pgm").read_bytes()
+    assert set(np.unique(fused)) == {0, 1, 2}
 
 
 def test_pipeline_frame_error_is_the_same_for_any_jobs(capsys, tmp_path):

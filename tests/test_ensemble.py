@@ -6,7 +6,7 @@ import pytest
 import helpers
 import eaparse as ea
 from eaparse.ensemble import _first_max
-from eaparse.errors import ChannelMismatch, EmptyInput, InvalidRaster
+from eaparse.errors import ChannelMismatch, EmptyInput, InvalidRaster, LabelOutOfRange
 
 
 def test_softmax_map_rows_sum_to_one_and_order():
@@ -107,6 +107,21 @@ def test_argmax_ties_take_lowest_id():
     opposed[0][0] = 3.0
     opposed[1][1] = 3.0
     assert ea.ensemble_argmax(opposed)[0, 0] == 0
+
+
+# the library's two label makers, on one member
+LABELLERS = {
+    "ensemble_argmax": lambda logits: ea.ensemble_argmax([logits]),
+    "fuse_frame": lambda logits: ea.fuse_frame(np.zeros((4, 4, 3), np.uint8), [ea.Box(0, 0, 4, 4)], [[logits]]),
+}
+
+
+@pytest.mark.parametrize("labeller", LABELLERS.values(), ids=LABELLERS.keys())
+def test_more_classes_than_a_label_map_holds_raise(labeller):
+    assert (labeller(helpers.last_class_wins(256)) == 255).all()
+    for channels in (257, 300):  # class 256 would read as 0, class 299 as 43
+        with pytest.raises(LabelOutOfRange, match=f"{channels} classes"):
+            labeller(helpers.last_class_wins(channels))
 
 
 def test_ensemble_error_cases():

@@ -117,6 +117,11 @@ SCALARS = {
         dict(logits_list=[_LOGITS], out_height=4, out_width=4),
         {k: count(k, 0, accepted=("None",)) for k in ("out_height", "out_width")},
     ),
+    # an id outside 0..255 is absent from every map and skipped (fuse_frame docstring)
+    "fuse_frame": (
+        dict(image=_IMAGE, boxes=[ea.Box(1, 1, 7, 7)], members=[[_LOGITS]], expand_ratio=0.2, refine_ids=[1], params=None),
+        {"expand_ratio": real("ratio", -0.1), "refine_ids": count("refine_ids", as_list=True)},
+    ),
     "resize_bilinear": (
         dict(tensor=_LOGITS, out_height=4, out_width=4),
         {k: count(k, 0) for k in ("out_height", "out_width")},

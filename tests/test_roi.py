@@ -146,3 +146,39 @@ def test_crop_paste_round_trip():
     box = ea.Box(2, 1, 6, 5)
     patch = ea.crop(lab, box)
     assert (ea.paste(lab, patch, box) == lab).all()
+
+
+def _column_logits(columns) -> np.ndarray:
+    """(3, 2, len(columns)) logits whose column j holds ``columns[j]`` on both rows."""
+    return np.repeat(np.array(columns, dtype=np.float32).T[:, None, :], 2, axis=1)
+
+
+SURE_1, SURE_2 = [-100, 0, -100], [-100, -100, 0]  # confidence exactly 1.0: e**-100 vanishes beside 1
+UNSURE_1, UNSURE_2 = [0, 1, 0], [0, 0, 1]  # confidence below 1
+
+
+def test_fuse_frame_later_box_wins_only_where_strictly_more_confident():
+    image = np.zeros((2, 8, 3), dtype=np.uint8)
+    boxes = [ea.Box(0, 0, 6, 2), ea.Box(2, 0, 8, 2)]  # the overlap is columns 2..5
+    first = _column_logits([SURE_1] * 4 + [UNSURE_1] * 2)
+    # over the overlap: less sure, a tie at 1.0, then more sure twice
+    second = _column_logits([UNSURE_2, SURE_2, SURE_2, SURE_2, UNSURE_2, UNSURE_2])
+    fused = ea.fuse_frame(image, boxes, [[first], [second]], expand_ratio=0)
+    assert fused.tolist() == [[1, 1, 1, 1, 2, 2, 2, 2]] * 2
+    # the other order: the tie at column 3 stays with the box pasted first
+    fused = ea.fuse_frame(image, boxes[::-1], [[second], [first]], expand_ratio=0)
+    assert fused.tolist() == [[1, 1, 1, 2, 2, 2, 2, 2]] * 2
+
+
+def test_fuse_frame_argument_rules():
+    image = np.zeros((2, 8, 3), dtype=np.uint8)
+    boxes = [ea.Box(0, 0, 6, 2)]
+    members = [[_column_logits([SURE_1] * 6)]]
+    with pytest.raises(SizeMismatch):
+        ea.fuse_frame(image, boxes, members * 2)
+    plain = ea.fuse_frame(image, boxes, members, expand_ratio=0)
+    assert plain.tolist() == [[1] * 6 + [0] * 2] * 2
+    # ids outside 0..255 are absent from every map: nothing to refine
+    assert (ea.fuse_frame(image, boxes, members, expand_ratio=0, refine_ids=[300, -1]) == plain).all()
+    assert ea.fuse_frame(image, [], []).tolist() == [[0] * 8] * 2
+
